@@ -18,10 +18,6 @@ cargo doc --no-deps -q
 echo "==> cargo test --workspace -q (superset of the tier-1 'cargo test -q')"
 cargo test --workspace -q
 
-echo "==> pipeline tests: inter-launch dependence props + bitwise identity"
-cargo test -q -p spdistal-runtime --test pipeline_props
-cargo test -q --test pipeline_identity
-
 echo "==> bench smoke: parallel_exec (serial vs parallel wall-clock)"
 cargo bench -p spdistal-bench --bench parallel_exec
 

@@ -114,19 +114,13 @@ fn workloads() -> Vec<(&'static str, Context, Plan)> {
 fn serial_vs_parallel(c: &mut Criterion) {
     let mut g = c.benchmark_group("parallel_exec");
     for (name, mut ctx, plan) in workloads() {
+        ctx.set_exec_mode(ExecMode::Serial);
         g.bench_with_input(BenchmarkId::new(name, "serial"), &(), |b, ()| {
-            b.iter(|| {
-                ctx.run_with_mode(&plan, ExecMode::Serial)
-                    .unwrap()
-                    .wall_time
-            })
+            b.iter(|| spdistal::plan::execute(&mut ctx, &plan).unwrap().wall_time)
         });
+        ctx.set_exec_mode(ExecMode::Parallel(0));
         g.bench_with_input(BenchmarkId::new(name, "parallel"), &(), |b, ()| {
-            b.iter(|| {
-                ctx.run_with_mode(&plan, ExecMode::Parallel(0))
-                    .unwrap()
-                    .wall_time
-            })
+            b.iter(|| spdistal::plan::execute(&mut ctx, &plan).unwrap().wall_time)
         });
     }
     g.finish();
@@ -147,9 +141,10 @@ fn speedup_table(_c: &mut Criterion) {
     );
     for (name, mut ctx, plan) in workloads() {
         let mut measure = |mode: ExecMode| {
+            ctx.set_exec_mode(mode);
             median(
                 (0..RUNS)
-                    .map(|_| ctx.run_with_mode(&plan, mode).unwrap().wall_time)
+                    .map(|_| spdistal::plan::execute(&mut ctx, &plan).unwrap().wall_time)
                     .collect(),
             )
         };

@@ -71,7 +71,7 @@ fn spmv_time(b: &SpTensor, nonzero: bool) -> (f64, u64, f64) {
         .part
         .vals
         .imbalance();
-    let r = ctx.run(&plan).unwrap();
+    let r = spdistal::plan::execute(&mut ctx, &plan).unwrap();
     let expect = reference::spmv(b, &c);
     assert!(reference::approx_eq(
         r.output.as_tensor().unwrap().vals(),

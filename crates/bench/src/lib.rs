@@ -364,7 +364,7 @@ pub fn run_spdistal_traced(
         // planned sub-tensors (Section II-D).
         ctx.prestage(&plan).map_err(stringify_err)?;
     }
-    let result = ctx.run(&plan).map_err(stringify_err)?;
+    let result = spdistal::plan::execute(&mut ctx, &plan).map_err(stringify_err)?;
     Ok(BaselineResult {
         time: result.time,
         comm_bytes: result.comm_bytes,

@@ -7,7 +7,6 @@
 //! distribution (Section II-D).
 
 use spdistal_ir::{Access, Assignment, Expr, IndexVar, ParallelUnit, Schedule};
-use spdistal_runtime::{ExecMode, SplitPolicy};
 
 use crate::codegen::{self, Plan};
 use crate::dist_tensor::{Context, Error};
@@ -37,53 +36,6 @@ impl Context {
         codegen::compile(self, stmt, schedule)
     }
 
-    /// Execute a compiled plan, returning simulated timing and the output.
-    pub fn run(&mut self, plan: &Plan) -> Result<ExecResult, Error> {
-        plan::execute(self, plan)
-    }
-
-    /// Execute a compiled plan under a specific [`ExecMode`], restoring the
-    /// context's previous mode afterwards. Parallel execution is
-    /// bit-identical to serial: conflicting tasks are serialized in color
-    /// order by the dependence graph and reductions combine in color order.
-    pub fn run_with_mode(&mut self, plan: &Plan, mode: ExecMode) -> Result<ExecResult, Error> {
-        let split = self.split_policy();
-        self.run_with(plan, mode, split)
-    }
-
-    /// Execute a compiled plan under a specific [`ExecMode`] *and*
-    /// [`SplitPolicy`], restoring both afterwards — including on the error
-    /// path, which [`Context::run_with_mode`] alone used to leave to the
-    /// caller when it also toggled the split policy around the call.
-    pub fn run_with(
-        &mut self,
-        plan: &Plan,
-        mode: ExecMode,
-        split: SplitPolicy,
-    ) -> Result<ExecResult, Error> {
-        /// Restores the context's mode + policy on every exit, early
-        /// returns and panics included.
-        struct Restore<'a> {
-            ctx: &'a mut Context,
-            mode: ExecMode,
-            split: SplitPolicy,
-        }
-        impl Drop for Restore<'_> {
-            fn drop(&mut self) {
-                self.ctx.set_exec_mode(self.mode);
-                self.ctx.set_split_policy(self.split);
-            }
-        }
-        let guard = Restore {
-            mode: self.exec_mode(),
-            split: self.split_policy(),
-            ctx: self,
-        };
-        guard.ctx.set_exec_mode(mode);
-        guard.ctx.set_split_policy(split);
-        plan::execute(guard.ctx, plan)
-    }
-
     /// Compile and execute in one step.
     pub fn compile_and_run(
         &mut self,
@@ -91,7 +43,7 @@ impl Context {
         schedule: &Schedule,
     ) -> Result<ExecResult, Error> {
         let plan = self.compile(stmt, schedule)?;
-        self.run(&plan)
+        plan::execute(self, &plan)
     }
 
     /// Pre-stage a plan's input partitions: attach every color's sub-regions
@@ -268,7 +220,7 @@ mod tests {
         let plan = ctx.compile(&stmt, &sched).unwrap();
         // Non-zero split: output coordinates alias at boundaries -> reduce.
         assert!(plan.output.reduce);
-        let result = ctx.run(&plan).unwrap();
+        let result = plan::execute(&mut ctx, &plan).unwrap();
         let expect = reference::spmv(&b, &cdata);
         assert!(reference::approx_eq(
             result.output.as_tensor().unwrap().vals(),

@@ -89,8 +89,35 @@ pub struct Plan {
 /// Compile a scheduled statement into a [`Plan`] (the top-level `codegen`
 /// of Figure 9a).
 pub fn compile(ctx: &Context, stmt: &Assignment, schedule: &Schedule) -> Result<Plan, Error> {
+    check_extents(ctx, stmt)?;
     let nest = spdistal_ir::lower(stmt, schedule, ctx.vars())?;
     compile_nest(ctx, &nest)
+}
+
+/// Check that every index variable has the same extent in every access of
+/// `stmt`, the lhs included: the leaf kernels bound each variable's loop
+/// by one extent and index every operand with it, so a mismatched operand
+/// would be read out of bounds. Tensors not in the context are left to the
+/// compiler's own lookup.
+pub fn check_extents(ctx: &Context, stmt: &Assignment) -> Result<(), Error> {
+    let mut extents: HashMap<IndexVar, usize> = HashMap::new();
+    for access in std::iter::once(&stmt.lhs).chain(stmt.rhs.accesses()) {
+        let Ok(t) = ctx.tensor(&access.tensor) else {
+            continue;
+        };
+        for (&var, &got) in access.indices.iter().zip(t.data.dims()) {
+            let expected = *extents.entry(var).or_insert(got);
+            if expected != got {
+                return Err(Error::ShapeMismatch {
+                    var: ctx.vars().name(var).to_string(),
+                    tensor: access.tensor.clone(),
+                    expected,
+                    got,
+                });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Compile an already-lowered loop nest.

@@ -44,6 +44,15 @@ pub enum Error {
     /// color there (plan execution and pre-staging both need an owner).
     EmptyMachineDim(usize),
     Unsupported(String),
+    /// Index variable `var` ranges over `expected` coordinates in an
+    /// earlier access of the statement but `got` in its access of
+    /// `tensor`.
+    ShapeMismatch {
+        var: String,
+        tensor: String,
+        expected: usize,
+        got: usize,
+    },
     /// A deferred execution never ran because an earlier queued plan in
     /// the same session failed; the message names the original failure.
     Aborted(String),
@@ -61,6 +70,16 @@ impl std::fmt::Display for Error {
                 write!(f, "machine dimension {d} has no processors")
             }
             Error::Unsupported(m) => write!(f, "unsupported: {m}"),
+            Error::ShapeMismatch {
+                var,
+                tensor,
+                expected,
+                got,
+            } => write!(
+                f,
+                "shape mismatch: index '{var}' has extent {expected} but '{tensor}' \
+                 gives it {got}"
+            ),
             Error::Aborted(m) => write!(f, "deferred execution aborted: {m}"),
         }
     }

@@ -6,9 +6,8 @@
 //! payoff died with the program. This module splits that state out:
 //!
 //! - [`PlanKey`] — the typed cache key `(statement, schedule, format
-//!   signature)`. Its `Display` form is exactly the legacy string key, so
-//!   trace output (`plan_cache_hit`/`plan_cache_miss` events) is
-//!   unchanged.
+//!   signature)`. Its `Display` form is the key string the trace's
+//!   `PlanCacheHit`/`PlanCacheMiss` events carry.
 //! - [`PlanCache`] — an `RwLock`-protected map from [`PlanKey`] to
 //!   `Arc<Plan>`, shareable across threads and across tenants. Lookups
 //!   record tenant-attributed cache traffic on the trace

@@ -7,21 +7,29 @@
 //! sub-regions its color owns under the plan's partitions, so the runtime
 //! infers the same communication Legion would.
 //!
-//! ## Describe vs. run
+//! ## One executor: describe → drain → replay
 //!
-//! Execution is split into two phases so whole launches can be deferred and
-//! overlapped (the [`Session`](crate::session::Session) API):
+//! Every execution goes through [`execute_batch`]: a launch-at-a-time
+//! [`execute`], a [`Session`](crate::session::Session) batch, and an
+//! incremental rerun of a [`CompiledProgram`](crate::CompiledProgram)
+//! differ only in the batch they hand it. The executor runs three phases:
 //!
-//! * **describe** — [`PreparedPlan::new`] resolves the plan against the
+//! * **describe** — [`PreparedPlan::new`] resolves each plan against the
 //!   context's tensor table: per-point region requirements (the same
 //!   metadata the model phase will name) plus borrowed views of every
 //!   operand the leaf kernels need. Nothing has executed yet.
-//! * **run** — [`PreparedPlan::run_point`] executes one color's leaf kernel;
-//!   any dependence-respecting driver may call it, from the single-launch
-//!   path in [`execute`] to the multi-launch pipeline. [`PreparedPlan::
-//!   finish`] then folds the per-color results into the computed output,
-//!   and [`finish_model`] replays the launch against the discrete-event
-//!   simulator and writes the output back.
+//! * **drain** — one [`Pipeline`] runs every point task of the batch
+//!   ([`PreparedPlan::run_point`]) in a single pass that honors intra- and
+//!   inter-launch dependences; [`PreparedPlan::finish`] then folds each
+//!   plan's per-color results into its computed output.
+//! * **replay** — [`finish_model`] replays each plan's launch(es) against
+//!   the discrete-event simulator in issue order and writes the output
+//!   back.
+//!
+//! A plan may carry a seed and a dirty-row map (the incremental path): the
+//! seed becomes the shared output allocation, and only the colors whose
+//! driver rows intersect the map rerun; the others keep the seeded values
+//! and report zero modeled ops.
 //!
 //! ## Real parallel execution
 //!
@@ -146,92 +154,133 @@ pub struct ExecResult {
 /// replaced by the computed output (so chained statements, e.g. CP-ALS
 /// sweeps, see it).
 pub fn execute(ctx: &mut Context, plan: &Plan) -> Result<ExecResult, Error> {
-    let trace = ctx.trace().clone();
-    let mut prepared = PreparedPlan::new(ctx, plan, DAG_OUT_REGION, None)?;
-    let pipeline = Pipeline::new(vec![prepared.take_launch_desc()]);
-    let (report, timings) = pipeline.run_traced(ctx.exec_mode(), &trace, |_, point, span| {
-        prepared.run_point(point, span)
-    });
-    let (computed, ops) = prepared.finish()?;
-    finish_model(ctx, plan, computed, ops, report, timings, None)
+    let (mut runs, _) = execute_batch(ctx, vec![BatchPlan { plan, seed: None }], None)?;
+    Ok(runs.pop().expect("one result per plan").result)
 }
 
-/// Synthetic region id standing in for the output region (created only
-/// after the compute phase sizes it) when deriving the compute DAG.
-pub(crate) const DAG_OUT_REGION: RegionId = RegionId(u32::MAX);
+/// One plan of an [`execute_batch`] batch.
+pub(crate) struct BatchPlan<'p> {
+    pub plan: &'p Plan,
+    /// The incremental seed: the bit-exact output of this same plan
+    /// against the pre-delta data, and the driver rows dirtied since. The
+    /// buffer becomes the shared output allocation itself (no zero-fill,
+    /// no copy) and only colors whose driver rows intersect the map rerun.
+    /// Callers are responsible for eligibility beyond plan shape: every
+    /// input other than value-only driver deltas must be unchanged (see
+    /// [`crate::streaming`]).
+    pub seed: Option<(Vec<f64>, &'p DirtyMap)>,
+}
 
-/// What [`execute_incremental`] did beyond the plain [`ExecResult`].
-pub(crate) struct IncrementalOutcome {
+/// What [`execute_batch`] did for one plan.
+pub(crate) struct PlanRun {
     pub result: ExecResult,
+    /// Whether the seed became the output allocation. A plan without an
+    /// in-place output of the seed's length (reduction, assembled or
+    /// interpreted output) drops its seed and runs every color — exactly
+    /// a full run.
+    pub seeded: bool,
     pub spans_reexecuted: usize,
     pub spans_skipped: usize,
 }
 
-/// Execute `plan` incrementally: seed the shared in-place output with the
-/// retained buffer of the previous run, re-execute only the colors whose
-/// driver rows intersect `dirty` (zeroing their output slices first — the
-/// dense leaf kernels accumulate into a zeroed buffer), and record every
-/// skipped span as a zero-op result so the launch bookkeeping stays whole.
+/// The one batch executor (see the module docs). Describes every plan,
+/// drains all their point tasks in one pipelined pass, then replays model
+/// phases and write-backs in issue order — a topological order of the
+/// batch's launch graph. All plans compute from pre-batch tensor state, so
+/// no plan of a batch may read another's output.
 ///
-/// The retained buffer is taken by value and becomes the shared output
-/// allocation itself — an incremental pass never zero-fills or copies an
-/// output-sized buffer on the way in, which matters when the skipped work
-/// is the point.
-///
-/// Returns `Ok(None)` when the plan cannot merge in place (reduction /
-/// assembled / interpreted output, or a retained buffer of the wrong
-/// length) — the caller falls back to a full [`execute`]. Callers are
-/// responsible for eligibility beyond plan shape: `retained` must be the
-/// bit-exact output of this same plan against the pre-delta data, and every
-/// input other than value-only driver deltas must be unchanged (see
-/// [`crate::streaming`]).
-pub(crate) fn execute_incremental(
+/// `model_preds` selects how [`finish_model`] issues the launches: `None`
+/// is a launch-at-a-time fence; `Some(preds)` gates each plan behind
+/// `preds` plus the launches of its launch-graph predecessors in the batch.
+/// Returns one [`PlanRun`] per plan, in batch order, and the scheduler
+/// report of the whole drain.
+pub(crate) fn execute_batch(
     ctx: &mut Context,
-    plan: &Plan,
-    dirty: &DirtyMap,
-    retained: Vec<f64>,
-) -> Result<Option<IncrementalOutcome>, Error> {
+    batch: Vec<BatchPlan<'_>>,
+    model_preds: Option<&[LaunchId]>,
+) -> Result<(Vec<PlanRun>, ExecReport), Error> {
+    let plans: Vec<&Plan> = batch.iter().map(|b| b.plan).collect();
     let trace = ctx.trace().clone();
-    let mut prepared = PreparedPlan::new(ctx, plan, DAG_OUT_REGION, Some(retained))?;
-    if !prepared.seeded {
-        return Ok(None);
-    }
-    // Color granularity: a color re-runs iff its driver rows intersect the
-    // dirty set; unmappable colors (no level-0 row range) run defensively.
-    let rerun: Vec<bool> = (0..prepared.spans.len())
-        .map(|c| match prepared.color_row_range(c) {
-            Some((lo, hi)) => dirty.intersects_range(lo, hi),
-            None => true,
-        })
-        .collect();
-    for (c, rerun_c) in rerun.iter().enumerate() {
-        if *rerun_c {
-            prepared.zero_color_output(c);
+    let (report, timings, finished, pred_sets, counts) = {
+        let ctx: &Context = ctx;
+        // Write-back claims only order launches against each other; a
+        // one-launch graph has no edges, so they would be pure overhead.
+        let claim_writebacks = batch.len() > 1;
+        let mut prepared = Vec::with_capacity(batch.len());
+        let mut reruns = Vec::with_capacity(batch.len());
+        // Per plan: (seeded, spans re-executed, spans skipped).
+        let mut counts = Vec::with_capacity(batch.len());
+        let mut launches = Vec::with_capacity(batch.len());
+        for (k, BatchPlan { plan, seed }) in batch.into_iter().enumerate() {
+            // Distinct synthetic output region per plan, counting down
+            // from the top of the id space (real ids count up from 0).
+            let out_region = RegionId(u32::MAX - k as u32);
+            let (seed, dirty) = seed.unzip();
+            let mut p = PreparedPlan::new(ctx, plan, out_region, seed)?;
+            let rerun = p.rerun_mask(dirty);
+            let reexec: usize = (p.spans.iter().zip(&rerun))
+                .filter(|(_, &r)| r)
+                .map(|(s, _)| s.len())
+                .sum();
+            counts.push((p.seeded, reexec, p.slots.len() - reexec));
+            let mut launch = p.take_launch_desc();
+            if claim_writebacks {
+                launch = launch.with_extra_reqs(writeback_reqs(ctx, plan)?);
+            }
+            launches.push(launch);
+            reruns.push(rerun);
+            prepared.push(p);
         }
+        let pipeline = Pipeline::new(launches);
+        // The inter-launch edge set (WAW/WAR over the summaries, including
+        // write-back claims) also orders the model replay.
+        let pred_sets = pipeline.launch_graph().pred_sets();
+        let (report, timings) = pipeline.run_traced(ctx.exec_mode(), &trace, |l, point, span| {
+            if reruns[l][point] {
+                prepared[l].run_point(point, span);
+            } else {
+                prepared[l].skip_point(point, span);
+            }
+        });
+        let finished = prepared
+            .into_iter()
+            .map(PreparedPlan::finish)
+            .collect::<Result<Vec<_>, Error>>()?;
+        (report, timings, finished, pred_sets, counts)
+    };
+
+    let mut runs: Vec<PlanRun> = Vec::with_capacity(plans.len());
+    for (k, (((plan, (computed, ops)), timing), (seeded, reexec, skipped))) in plans
+        .into_iter()
+        .zip(finished)
+        .zip(timings)
+        .zip(counts)
+        .enumerate()
+    {
+        let preds = model_preds.map(|base| {
+            let mut preds = base.to_vec();
+            for &a in &pred_sets[k] {
+                preds.extend(runs[a].result.records.iter().map(|r| r.id));
+            }
+            preds
+        });
+        let result = finish_model(
+            ctx,
+            plan,
+            computed,
+            ops,
+            report,
+            vec![timing],
+            preds.as_deref(),
+        )?;
+        runs.push(PlanRun {
+            result,
+            seeded,
+            spans_reexecuted: reexec,
+            spans_skipped: skipped,
+        });
     }
-    let (mut reexec, mut skipped) = (0usize, 0usize);
-    for (c, spans) in prepared.spans.iter().enumerate() {
-        if rerun[c] {
-            reexec += spans.len();
-        } else {
-            skipped += spans.len();
-        }
-    }
-    let pipeline = Pipeline::new(vec![prepared.take_launch_desc()]);
-    let (report, timings) = pipeline.run_traced(ctx.exec_mode(), &trace, |_, point, span| {
-        if rerun[point] {
-            prepared.run_point(point, span);
-        } else {
-            prepared.skip_point(point, span);
-        }
-    });
-    let (computed, ops) = prepared.finish()?;
-    let result = finish_model(ctx, plan, computed, ops, report, timings, None)?;
-    Ok(Some(IncrementalOutcome {
-        result,
-        spans_reexecuted: reexec,
-        spans_skipped: skipped,
-    }))
+    Ok((runs, report))
 }
 
 /// One span's computed contribution, parked until [`PreparedPlan::finish`].
@@ -368,15 +417,14 @@ pub(crate) struct PreparedPlan<'a> {
 impl<'a> PreparedPlan<'a> {
     /// Resolve `plan` against `ctx`. `out_region` is the synthetic region
     /// id standing in for the (not yet created) output region in the
-    /// compute-phase requirements; drivers coordinating several plans give
-    /// each a distinct id.
+    /// compute-phase requirements; each plan of a batch gets a distinct id.
     ///
     /// `seed`, when given, becomes the shared output allocation itself
     /// (no zero-fill, no copy) — the incremental path's retained buffer.
     /// It is honored only when the plan has a shared in-place output of
-    /// exactly that length; `seeded` records whether it took effect, and
-    /// callers that required seeding must fall back when it did not.
-    pub(crate) fn new(
+    /// exactly that length; `seeded` records whether it took effect (an
+    /// unseeded plan runs every color, see [`PreparedPlan::rerun_mask`]).
+    fn new(
         ctx: &'a Context,
         plan: &'a Plan,
         out_region: RegionId,
@@ -548,7 +596,7 @@ impl<'a> PreparedPlan<'a> {
     /// requirements plus the per-point span widths. Hands the point
     /// requirements over to the pipeline (they have no further use here),
     /// so building a pipeline never deep-copies requirement sets.
-    pub(crate) fn take_launch_desc(&mut self) -> LaunchDesc {
+    fn take_launch_desc(&mut self) -> LaunchDesc {
         let widths = self.spans.iter().map(Vec::len).collect();
         LaunchDesc::new(self.plan.name.clone(), std::mem::take(&mut self.point_reqs))
             .with_point_widths(widths)
@@ -558,7 +606,7 @@ impl<'a> PreparedPlan<'a> {
     /// (point, span), under a driver that serializes the conflicting point
     /// pairs named by the launch descriptor's requirements; spans of one
     /// point may run concurrently (they touch disjoint output elements).
-    pub(crate) fn run_point(&self, point: usize, span: usize) {
+    fn run_point(&self, point: usize, span: usize) {
         let clamp = self.spans[point][span].as_ref();
         let result = match &self.body {
             Body::SpMv { c } => self.dense_point(point, |out| match self.specialized {
@@ -634,6 +682,29 @@ impl<'a> PreparedPlan<'a> {
         *self.slots[self.span_offsets[point] + span].lock().unwrap() = Some(result);
     }
 
+    /// Which colors run. A seeded plan reruns only the colors whose driver
+    /// rows intersect `dirty` (unmappable colors, with no level-0 row
+    /// range, rerun defensively), zeroing their output slices first — the
+    /// dense leaf kernels accumulate into a zeroed buffer. Every other plan
+    /// runs every color.
+    fn rerun_mask(&mut self, dirty: Option<&DirtyMap>) -> Vec<bool> {
+        let colors = self.spans.len();
+        let Some(dirty) = dirty.filter(|_| self.seeded) else {
+            return vec![true; colors];
+        };
+        (0..colors)
+            .map(|c| {
+                let rerun = self
+                    .color_row_range(c)
+                    .is_none_or(|(lo, hi)| dirty.intersects_range(lo, hi));
+                if rerun {
+                    self.zero_color_output(c);
+                }
+                rerun
+            })
+            .collect()
+    }
+
     /// The closed row-coordinate range of one color's driver level-0
     /// entries, for intersecting against a dirty-row set. `None` when the
     /// color owns no entries or the level-0 storage doesn't expose a row
@@ -697,7 +768,7 @@ impl<'a> PreparedPlan<'a> {
 
     /// Fold the per-span results into the computed output and the
     /// per-color modeled op counts. Call after every span ran.
-    pub(crate) fn finish(self) -> Result<(Computed, Vec<f64>), Error> {
+    fn finish(self) -> Result<(Computed, Vec<f64>), Error> {
         // Group the flat span results back per point, in span order.
         let mut flat: Vec<PointResult> = self
             .slots
@@ -811,7 +882,7 @@ impl<'a> PreparedPlan<'a> {
 /// The canonical per-processor clocks (hence [`ExecResult::time`]) are
 /// charged identically either way; only the modeled milestones reported in
 /// the returned timings' [`ModelTiming`] observe the dependence structure.
-pub(crate) fn finish_model(
+fn finish_model(
     ctx: &mut Context,
     plan: &Plan,
     computed: Computed,
@@ -1059,7 +1130,7 @@ fn dag_reqs(
 /// (the compute phase writes private/synthetic buffers); they exist so a
 /// pipeline of several plans serializes any later launch that touches this
 /// tensor behind this one (WAW/WAR at launch granularity).
-pub(crate) fn writeback_reqs(ctx: &Context, plan: &Plan) -> Result<Vec<RegionReq>, Error> {
+fn writeback_reqs(ctx: &Context, plan: &Plan) -> Result<Vec<RegionReq>, Error> {
     let t = ctx.tensor(&plan.output.tensor)?;
     let full = |len: usize| -> Option<IntervalSet> {
         (len > 0).then(|| IntervalSet::from_rect(Rect1::new(0, len as i64 - 1)))
@@ -1136,7 +1207,7 @@ fn scale_set(s: &IntervalSet, width: usize) -> IntervalSet {
     )
 }
 
-pub(crate) enum Computed {
+enum Computed {
     Dense(Vec<f64>),
     PatternVals(Vec<f64>),
     Assembled {

@@ -76,12 +76,12 @@ use spdistal_runtime::{ExecMode, Machine, SplitPolicy, Trace};
 use spdistal_sparse::SpTensor;
 
 use crate::api::{schedule_nonzero, schedule_outer_dim};
-use crate::codegen::Plan;
+use crate::codegen::{self, Plan};
 use crate::dist_tensor::{Context, Error};
 use crate::engine::{PlanCache, PlanKey};
 use crate::kernels;
 use crate::level_funcs::{equal_coord_bounds, partition_tensor, universe_partition};
-use crate::plan::{self, execute_incremental, ExecResult, OutputValue};
+use crate::plan::{self, ExecResult, OutputValue};
 use crate::session::{FlushReport, Session};
 use crate::streaming::{DirtyMap, IncrementalStats, RetainedOutput, FALLBACK_DIRTY_RATIO};
 
@@ -403,7 +403,9 @@ impl Program {
     /// Check and compile the declarations: materialize every tensor's
     /// initial distribution, parse/build every statement, and return the
     /// executable [`CompiledProgram`]. Schedules are resolved lazily (the
-    /// auto-scheduler needs the tensor table), plans on first run.
+    /// auto-scheduler needs the tensor table), plans on first run. A
+    /// statement whose index variable takes different extents in different
+    /// accesses fails here with [`Error::ShapeMismatch`].
     pub fn build(self) -> Result<CompiledProgram, Error> {
         if let Some(msg) = self.errors.into_iter().next() {
             return Err(Error::Unsupported(msg));
@@ -431,6 +433,7 @@ impl Program {
                 StmtSource::Text(src) => parse_tin(&src, ctx.vars_mut())?,
                 StmtSource::Built(build) => build(ctx.vars_mut()),
             };
+            codegen::check_extents(&ctx, &stmt)?;
             stmts.push(ProgramStmt {
                 stmt,
                 spec: decl.spec,
@@ -1196,25 +1199,12 @@ impl CompiledProgram {
         input_versions: Vec<(String, u64)>,
         driver: Option<&str>,
     ) {
-        let vals = self.last_results[k].as_ref().map(|r| match &r.output {
+        let Some(result) = &self.last_results[k] else {
+            return;
+        };
+        let vals = match &result.output {
             OutputValue::Dense(v) => v.clone(),
             OutputValue::Tensor(t) => t.vals().to_vec(),
-        });
-        self.retain_vals(k, vals, input_versions, driver);
-    }
-
-    /// [`CompiledProgram::retain_output`] with the output values already
-    /// extracted — the incremental loop uses this to retain straight from
-    /// the pass's results without cloning whole `ExecResult`s first.
-    fn retain_vals(
-        &mut self,
-        k: usize,
-        vals: Option<Vec<f64>>,
-        input_versions: Vec<(String, u64)>,
-        driver: Option<&str>,
-    ) {
-        let Some(vals) = vals else {
-            return;
         };
         self.retained[k] = Some(RetainedOutput {
             vals,
@@ -1336,7 +1326,6 @@ impl CompiledProgram {
             .map(|k| self.input_version_snapshot(k, drivers[k].as_deref()))
             .collect();
 
-        let mut results: Vec<Option<ExecResult>> = vec![None; n];
         let mut stats_out: Vec<Option<IncrementalStats>> = vec![None; n];
         for k in 0..n {
             let plan = self.ensure_plan(k)?;
@@ -1417,54 +1406,33 @@ impl CompiledProgram {
                 }
             }
 
-            let stats = if let Some(reason) = fallback_reason {
-                let result = plan::execute(&mut self.ctx, &plan)?;
-                let spans = result.sched.spans;
-                results[k] = Some(result);
-                IncrementalStats {
-                    stmt: k,
-                    rows_dirty,
-                    spans_reexecuted: spans,
-                    spans_skipped: 0,
-                    fallback: true,
-                    reason,
-                }
-            } else {
-                // The retained buffer moves into the incremental pass and
-                // becomes the shared output allocation; a fresh retained
-                // output is captured from the result below either way.
-                let retained_vals = self.retained[k].take().unwrap().vals;
-                match execute_incremental(&mut self.ctx, &plan, &dirty, retained_vals)? {
-                    Some(outcome) => {
-                        let stats = IncrementalStats {
-                            stmt: k,
-                            rows_dirty,
-                            spans_reexecuted: outcome.spans_reexecuted,
-                            spans_skipped: outcome.spans_skipped,
-                            fallback: false,
-                            reason: format!(
-                                "incremental: {} span(s) re-executed, {} skipped",
-                                outcome.spans_reexecuted, outcome.spans_skipped
-                            ),
-                        };
-                        results[k] = Some(outcome.result);
-                        stats
-                    }
-                    None => {
-                        let result = plan::execute(&mut self.ctx, &plan)?;
-                        let spans = result.sched.spans;
-                        results[k] = Some(result);
-                        IncrementalStats {
-                            stmt: k,
-                            rows_dirty,
-                            spans_reexecuted: spans,
-                            spans_skipped: 0,
-                            fallback: true,
-                            reason: "plan has no in-place output to merge into".to_string(),
-                        }
-                    }
-                }
+            // Eligible statements seed the executor with the retained
+            // buffer, which moves in and becomes the shared output
+            // allocation; a fresh retained output is captured from the
+            // result below either way.
+            let seed = fallback_reason
+                .is_none()
+                .then(|| (self.retained[k].take().unwrap().vals, &dirty));
+            let batch = vec![plan::BatchPlan { plan: &plan, seed }];
+            let (mut runs, _) = plan::execute_batch(&mut self.ctx, batch, None)?;
+            let run = runs.pop().expect("one result per plan");
+            if fallback_reason.is_none() && !run.seeded {
+                fallback_reason = Some("plan has no in-place output to merge into".to_string());
+            }
+            let stats = IncrementalStats {
+                stmt: k,
+                rows_dirty,
+                spans_reexecuted: run.spans_reexecuted,
+                spans_skipped: run.spans_skipped,
+                fallback: fallback_reason.is_some(),
+                reason: fallback_reason.unwrap_or_else(|| {
+                    format!(
+                        "incremental: {} span(s) re-executed, {} skipped",
+                        run.spans_reexecuted, run.spans_skipped
+                    )
+                }),
             };
+            self.last_results[k] = Some(run.result);
             self.ctx.trace().incremental_run(
                 k as u32,
                 stats.rows_dirty as u64,
@@ -1473,13 +1441,8 @@ impl CompiledProgram {
                 stats.fallback,
             );
             stats_out[k] = Some(stats);
-            let vals = results[k].as_ref().map(|r| match &r.output {
-                OutputValue::Dense(v) => v.clone(),
-                OutputValue::Tensor(t) => t.vals().to_vec(),
-            });
-            self.retain_vals(k, vals, snapshots[k].clone(), drivers[k].as_deref());
+            self.retain_output(k, snapshots[k].clone(), drivers[k].as_deref());
         }
-        self.last_results = results;
         self.last_incremental = stats_out;
         self.ctx.clear_all_dirty();
 

@@ -11,13 +11,16 @@
 //! At flush time the queue is cut into **batches**: the longest prefix of
 //! plans none of which *reads* a tensor an earlier plan in the same prefix
 //! writes. Within a batch every compute phase runs from pre-batch tensor
-//! state (true flow dependences only exist *between* batches), so the
-//! whole batch is described up front and drained through the runtime's
-//! [`Pipeline`] in one work-stealing pass — point tasks of independent
-//! launches interleave, and any WAW/WAR pairs the whole-launch summaries
-//! expose serialize in issue order. Model phases and write-backs then
-//! replay in issue order (a topological order of the launch graph), with
-//! write-backs claimed at launch granularity, so:
+//! state (true flow dependences only exist *between* batches), so each
+//! batch goes through the plan executor ([`crate::plan`]'s describe →
+//! drain → replay) as one unit: the whole batch is described up front and
+//! drained through one
+//! [`Pipeline`](spdistal_runtime::pipeline::Pipeline) pass — point tasks
+//! of independent launches interleave, and any WAW/WAR pairs the
+//! whole-launch summaries expose (write-backs are claimed at launch
+//! granularity) serialize in issue order. Model phases and write-backs
+//! then replay in issue order, a topological order of the launch graph,
+//! so:
 //!
 //! * outputs are **bit-identical** to [`ExecMode::Serial`]
 //!   launch-at-a-time execution, and
@@ -43,14 +46,14 @@
 use std::collections::{BTreeSet, VecDeque};
 use std::time::Instant;
 
-use spdistal_runtime::pipeline::{LaunchTiming, Pipeline};
+use spdistal_runtime::pipeline::LaunchTiming;
 use spdistal_runtime::sched::{ExecMode, SplitPolicy};
-use spdistal_runtime::{LaunchId, RegionId};
+use spdistal_runtime::LaunchId;
 use spdistal_sparse::SpTensor;
 
 use crate::codegen::Plan;
 use crate::dist_tensor::{Context, Error};
-use crate::plan::{finish_model, writeback_reqs, ExecResult, OutputValue, PreparedPlan};
+use crate::plan::{execute_batch, BatchPlan, ExecResult, OutputValue};
 
 /// A handle to the (possibly not yet computed) result of one submitted
 /// plan. Force it with [`Session::wait`] or [`Session::value`].
@@ -331,89 +334,38 @@ impl<'c> Session<'c> {
         n.max(1)
     }
 
-    /// Describe every plan of the batch, drain all their point tasks in
-    /// one pipelined pass, then replay model phases and write-backs in
-    /// issue order — which is a topological order of the batch's launch
-    /// graph, so gating each launch behind its graph predecessors (plus
-    /// everything the previous batch issued) replays the model phase
-    /// launch-graph-ordered.
+    /// Run one batch through the plan executor, gated on the model
+    /// timeline behind everything the previous batch issued, then rebase
+    /// its launch milestones onto the session epoch and fold it into the
+    /// flush report.
     fn run_batch(&mut self, batch: &[Queued], report: &mut FlushReport) -> Result<(), Error> {
-        let mode = self.ctx.exec_mode();
-        let trace = self.ctx.trace().clone();
         let batch_t0 = Instant::now();
-        let (exec_report, timings, finished, pred_sets) = {
-            let ctx: &Context = self.ctx;
-            let mut prepared = Vec::with_capacity(batch.len());
-            let mut launches = Vec::with_capacity(batch.len());
-            for (k, q) in batch.iter().enumerate() {
-                // Distinct synthetic output region per plan, counting down
-                // from the top of the id space (real ids count up from 0).
-                let out_region = RegionId(u32::MAX - k as u32);
-                let mut p = PreparedPlan::new(ctx, &q.plan, out_region, None)?;
-                launches.push(
-                    p.take_launch_desc()
-                        .with_extra_reqs(writeback_reqs(ctx, &q.plan)?),
-                );
-                prepared.push(p);
-            }
-            let pipeline = Pipeline::new(launches);
-            // The inter-launch edge set (WAW/WAR over the summaries,
-            // including write-back claims) also orders the model replay.
-            let pred_sets = pipeline.launch_graph().pred_sets();
-            let (exec_report, timings) =
-                pipeline.run_traced(mode, &trace, |launch, point, span| {
-                    prepared[launch].run_point(point, span)
-                });
-            let finished = prepared
-                .into_iter()
-                .map(PreparedPlan::finish)
-                .collect::<Result<Vec<_>, Error>>()?;
-            (exec_report, timings, finished, pred_sets)
-        };
+        let plans = batch
+            .iter()
+            .map(|q| BatchPlan {
+                plan: &q.plan,
+                seed: None,
+            })
+            .collect();
+        let (runs, exec_report) = execute_batch(self.ctx, plans, Some(&self.model_preds))?;
 
         // Rebase the driver-relative milestones onto the session epoch and
         // fill in the real issue instants.
         let run_offset = batch_t0.duration_since(self.epoch).as_secs_f64();
-        let timings: Vec<LaunchTiming> = timings
-            .into_iter()
-            .zip(batch)
-            .map(|(t, q)| LaunchTiming {
-                name: t.name,
-                issue: q.issued.duration_since(self.epoch).as_secs_f64(),
-                start: run_offset + t.start,
-                drain: run_offset + t.drain,
-                model: t.model,
-            })
-            .collect();
-
-        // Model-timeline launches issued per plan of this batch, for
-        // intra-batch graph gating.
-        let mut plan_ids: Vec<Vec<LaunchId>> = Vec::with_capacity(batch.len());
-        for (k, ((q, (computed, ops)), timing)) in batch
-            .iter()
-            .zip(finished)
-            .zip(timings.iter().cloned())
-            .enumerate()
-        {
-            let mut preds = self.model_preds.clone();
-            for &a in &pred_sets[k] {
-                preds.extend_from_slice(&plan_ids[a]);
+        self.model_preds.clear();
+        for (q, run) in batch.iter().zip(runs) {
+            let mut result = run.result;
+            for t in &mut result.launches {
+                t.issue = q.issued.duration_since(self.epoch).as_secs_f64();
+                t.start += run_offset;
+                t.drain += run_offset;
             }
-            let result = finish_model(
-                self.ctx,
-                &q.plan,
-                computed,
-                ops,
-                exec_report,
-                vec![timing],
-                Some(&preds),
-            )?;
-            plan_ids.push(result.records.iter().map(|r| r.id).collect());
+            self.model_preds.extend(result.records.iter().map(|r| r.id));
             report.launches.extend(result.launches.iter().cloned());
             self.slots[q.ticket] = Slot::Done(Box::new(result));
         }
-        self.model_preds = plan_ids.into_iter().flatten().collect();
 
+        let trace = self.ctx.trace();
         trace.add("batches", 1);
         trace.add("tasks", exec_report.tasks as u64);
 

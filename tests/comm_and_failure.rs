@@ -161,6 +161,55 @@ fn bad_schedules_rejected() {
     assert!(ctx.compile(&stmt, &sched).is_err());
 }
 
+/// An operand whose extent disagrees with its index variable's extent in
+/// the rest of the statement is a typed compile-time error, through both
+/// `Context::compile` and `Program::build`, instead of an out-of-bounds
+/// panic in the leaf kernel at execution.
+#[test]
+fn mismatched_operand_extents_rejected_at_compile() {
+    let b = generate::banded(256, 5, 41);
+    let c = dense_vector(generate::dense_vec(10, 42));
+    let check = |e: Error| match e {
+        Error::ShapeMismatch {
+            var,
+            tensor,
+            expected,
+            got,
+        } => assert_eq!(
+            (var.as_str(), tensor.as_str(), expected, got),
+            ("j", "c", 256, 10)
+        ),
+        other => panic!("expected a shape mismatch, got: {other}"),
+    };
+
+    let mut ctx = Context::new(Machine::grid1d(4, MachineProfile::lassen_cpu()));
+    ctx.add_tensor(
+        "a",
+        dense_vector(vec![0.0; 256]),
+        Format::blocked_dense_vec(),
+    )
+    .unwrap();
+    ctx.add_tensor("B", b.clone(), Format::blocked_csr())
+        .unwrap();
+    ctx.add_tensor("c", c.clone(), Format::replicated_dense_vec())
+        .unwrap();
+    let stmt = spmv_stmt(&mut ctx);
+    let sched = schedule_outer_dim(&mut ctx, &stmt, 4, ParallelUnit::CpuThread);
+    check(ctx.compile(&stmt, &sched).unwrap_err());
+
+    let built = Program::on(Machine::grid1d(4, MachineProfile::lassen_cpu()))
+        .tensor(
+            "a",
+            Format::blocked_dense_vec(),
+            dense_vector(vec![0.0; 256]),
+        )
+        .tensor("B", Format::blocked_csr(), b)
+        .tensor("c", Format::replicated_dense_vec(), c)
+        .stmt("a(i) = B(i,j) * c(j)")
+        .build();
+    check(built.err().expect("build must reject the statement"));
+}
+
 /// The deferred-execution model never synchronizes processors without a
 /// data dependence: per-processor clocks differ after imbalanced work.
 #[test]

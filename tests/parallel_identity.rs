@@ -12,7 +12,7 @@
 
 use spdistal_repro::sparse::{dense_matrix, dense_vector, generate};
 use spdistal_repro::spdistal::prelude::*;
-use spdistal_repro::spdistal::{access, assign, schedule_nonzero, schedule_outer_dim};
+use spdistal_repro::spdistal::{access, assign, plan, schedule_nonzero, schedule_outer_dim};
 
 const WIDTH: usize = 8;
 
@@ -290,7 +290,7 @@ fn executor_report_reflects_launch_shape() {
 }
 
 #[test]
-fn run_with_mode_restores_previous_mode() {
+fn set_exec_mode_selects_parallel_threads() {
     let mut ctx = Context::new(Machine::grid1d(4, MachineProfile::lassen_cpu()));
     let b = generate::banded(256, 5, 41);
     ctx.add_tensor(
@@ -311,7 +311,7 @@ fn run_with_mode_restores_previous_mode() {
     let sched = schedule_outer_dim(&mut ctx, &stmt, 4, ParallelUnit::CpuThread);
     let plan = ctx.compile(&stmt, &sched).unwrap();
     assert_eq!(ctx.exec_mode(), ExecMode::Serial);
-    let r = ctx.run_with_mode(&plan, ExecMode::Parallel(2)).unwrap();
+    ctx.set_exec_mode(ExecMode::Parallel(2));
+    let r = plan::execute(&mut ctx, &plan).unwrap();
     assert_eq!(r.sched.threads, 2);
-    assert_eq!(ctx.exec_mode(), ExecMode::Serial);
 }

@@ -8,7 +8,7 @@
 
 use spdistal_repro::sparse::{dense_matrix, dense_vector, generate, SpTensor};
 use spdistal_repro::spdistal::prelude::*;
-use spdistal_repro::spdistal::{access, assign, schedule_outer_dim, Plan};
+use spdistal_repro::spdistal::{access, assign, plan, schedule_outer_dim, Plan};
 
 const PIECES: usize = 6;
 const RANK: usize = 8;
@@ -199,7 +199,7 @@ fn assert_tensors_bit_identical(label: &str, a: &SpTensor, b: &SpTensor) {
 /// Run `make()`'s program launch-at-a-time serial and pipelined at several
 /// thread counts; everything observable must be bit-identical.
 fn check_program(label: &str, make: fn() -> Program) {
-    // Reference: serial, launch-at-a-time via Context::run.
+    // Reference: serial, launch-at-a-time via plan::execute.
     let Program {
         mut ctx,
         plans,
@@ -207,8 +207,8 @@ fn check_program(label: &str, make: fn() -> Program) {
         batches,
     } = make();
     let mut serial_results = Vec::new();
-    for plan in &plans {
-        serial_results.push(ctx.run(plan).unwrap());
+    for p in &plans {
+        serial_results.push(plan::execute(&mut ctx, p).unwrap());
     }
     let serial_tensors: Vec<SpTensor> = observed
         .iter()
@@ -244,6 +244,23 @@ fn check_program(label: &str, make: fn() -> Program) {
             assert_eq!(
                 serial.time, result.time,
                 "{label}: simulated time of statement {k} must not depend on pipelining"
+            );
+            assert_eq!(
+                serial.comm_bytes, result.comm_bytes,
+                "{label}: bytes moved by statement {k} must not depend on pipelining"
+            );
+            assert_eq!(
+                serial.messages, result.messages,
+                "{label}: messages of statement {k} must not depend on pipelining"
+            );
+            assert_eq!(
+                serial.ops, result.ops,
+                "{label}: modeled ops of statement {k} must not depend on pipelining"
+            );
+            assert_eq!(
+                serial.records.len(),
+                result.records.len(),
+                "{label}: launch records of statement {k} must not depend on pipelining"
             );
             match (&serial.output, &result.output) {
                 (OutputValue::Tensor(a), OutputValue::Tensor(b)) => {
