@@ -12,6 +12,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> perfbench build (standalone package; catches breaks in the library API it calls)"
+CARGO_TARGET_DIR=.bench_build cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc --no-deps -q (rustdoc examples on the Program front-end must build)"
 cargo doc --no-deps -q
 

@@ -27,7 +27,8 @@ use spdistal_runtime::{image_coords, IntervalSet, Partition, Rect1};
 use spdistal_sparse::{Level, SpTensor};
 
 use crate::dist_tensor::{Context, Error};
-use crate::kernels::{self, LeafKernel};
+use crate::kernels::specialized::storage_signature;
+use crate::kernels::{self, LeafKernel, TensorInfo};
 use crate::level_funcs::{
     nonzero_partition, partition_tensor, replicated_partition, universe_partition, TensorPartition,
 };
@@ -120,6 +121,36 @@ pub fn check_extents(ctx: &Context, stmt: &Assignment) -> Result<(), Error> {
     Ok(())
 }
 
+/// What [`kernels::recognize`] needs to know about tensor `name`.
+fn tensor_info(ctx: &Context, name: &str) -> Option<TensorInfo> {
+    let t = ctx.tensor(name).ok()?;
+    Some((
+        t.data.order(),
+        kernels::is_sparse(&t.data),
+        t.data.dims().to_vec(),
+    ))
+}
+
+/// The leaf kernel `stmt` runs on the context's tensors. SpAdd3 merges
+/// its inputs' rows through `pos` arrays indexed by row, so an input not
+/// stored `{Dense,Compressed}` (CSR) is [`Error::Unsupported`], naming
+/// the tensor and its stored signature.
+pub(crate) fn leaf_kernel(ctx: &Context, stmt: &Assignment) -> Result<LeafKernel, Error> {
+    let kernel = kernels::recognize(stmt, &|name| tensor_info(ctx, name));
+    if kernel == LeafKernel::SpAdd3 {
+        for access in stmt.rhs.accesses() {
+            let stored = storage_signature(&ctx.tensor(&access.tensor)?.data);
+            if stored != "{Dense,Compressed}" {
+                return Err(Error::Unsupported(format!(
+                    "SpAdd3 needs {{Dense,Compressed}} (CSR) inputs, but '{}' is stored {stored}",
+                    access.tensor
+                )));
+            }
+        }
+    }
+    Ok(kernel)
+}
+
 /// Compile an already-lowered loop nest.
 pub fn compile_nest(ctx: &Context, nest: &LoopNest) -> Result<Plan, Error> {
     let stmt = &nest.stmt;
@@ -141,17 +172,7 @@ pub fn compile_nest(ctx: &Context, nest: &LoopNest) -> Result<Plan, Error> {
         )));
     }
 
-    // Leaf kernel recognition against the context's tensor table.
-    let lookup = |name: &str| -> Option<(usize, bool, Vec<usize>)> {
-        ctx.tensor(name).ok().map(|t| {
-            (
-                t.data.order(),
-                kernels::is_sparse(&t.data),
-                t.data.dims().to_vec(),
-            )
-        })
-    };
-    let kernel = kernels::recognize(stmt, &lookup);
+    let kernel = leaf_kernel(ctx, stmt)?;
 
     // Identify the driver and its initial partition.
     let roots = ctx.vars().roots(dist_loop.var);
@@ -185,7 +206,8 @@ pub fn compile_nest(ctx: &Context, nest: &LoopNest) -> Result<Plan, Error> {
                 .accesses()
                 .into_iter()
                 .find(|a| {
-                    a.indices.first() == Some(root) && lookup(&a.tensor).is_some_and(|(_, s, _)| s)
+                    a.indices.first() == Some(root)
+                        && tensor_info(ctx, &a.tensor).is_some_and(|(_, s, _)| s)
                 })
                 .ok_or_else(|| {
                     Error::Unsupported(

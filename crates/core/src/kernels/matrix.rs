@@ -132,23 +132,21 @@ pub fn spadd3_color(
     (out, sym_ops as f64, num_ops as f64)
 }
 
-/// The (cols, vals) slice of one CSR row.
+/// The (cols, vals) slice of one CSR row. `codegen::leaf_kernel` rejects
+/// SpAdd3 inputs stored any other way: a compressed level 0 indexes
+/// `pos1` by level-0 position, not by row.
 fn row_segment(t: &SpTensor, row: usize) -> (&[i64], &[f64]) {
-    match t.level(1) {
-        Level::Compressed { pos, crd } => {
-            let r: Rect1 = pos[row];
-            if r.is_empty() {
-                (&[], &[])
-            } else {
-                (
-                    &crd[r.lo as usize..=r.hi as usize],
-                    &t.vals()[r.lo as usize..=r.hi as usize],
-                )
-            }
-        }
-        Level::Dense { .. } | Level::Singleton { .. } => {
-            panic!("SpAdd3 requires CSR inputs")
-        }
+    let (Level::Dense { .. }, Level::Compressed { pos, crd }) = (t.level(0), t.level(1)) else {
+        panic!("SpAdd3 requires CSR {{Dense,Compressed}} inputs");
+    };
+    let r: Rect1 = pos[row];
+    if r.is_empty() {
+        (&[], &[])
+    } else {
+        (
+            &crd[r.lo as usize..=r.hi as usize],
+            &t.vals()[r.lo as usize..=r.hi as usize],
+        )
     }
 }
 

@@ -276,24 +276,6 @@ impl<'a> OutVals<'a> {
         }
     }
 
-    /// `out[start + j] += src[j]` for every `j` — flushing a locally
-    /// accumulated dense row in one pass. Bounds checked once per row.
-    #[inline]
-    pub fn add_from(&self, start: usize, src: &[f64]) {
-        let end = start
-            .checked_add(src.len())
-            .expect("OutVals::add_from range overflow");
-        assert!(
-            end <= self.len,
-            "OutVals::add_from range {start}..{end} out of bounds ({})",
-            self.len
-        );
-        for (j, s) in src.iter().enumerate() {
-            // SAFETY: start + j < end <= len (checked above).
-            unsafe { *self.ptr.add(start + j) += s }
-        }
-    }
-
     /// Exclusive view of `out[start..start + len]`, for kernels that make
     /// many updates to one dense output row (SpMM, SpMTTKRP): one bounds
     /// check and one noalias slice for the whole row instead of a checked

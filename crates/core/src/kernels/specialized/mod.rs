@@ -2,14 +2,32 @@
 //! blessed (kernel, storage format) pairs.
 //!
 //! The paper's pitch is that scheduling is separable from *generated fast
-//! code*. The generic walker ([`crate::kernels::walk_partitioned_span`])
-//! is the library half of that story: it iterates any coordinate tree by
-//! matching on [`Level`] at every node and calling a `dyn FnMut` per
-//! stored entry, allocating a clamp vector per row along the way. This
-//! module is the generated half: one hand-monomorphized loop per blessed
-//! kernel × format combination, operating on the flat `pos`/`crd`/`vals`
-//! slices directly — branch-free inner loops over contiguous position
-//! ranges, with row-block prefetch where the driver level is row-keyed.
+//! code*, and that the generated code keeps the tensor expression apart
+//! from the sparse data structure: each kernel is written once, and the
+//! per-format iteration comes from level functions (Chou, Kjolstad and
+//! Amarasinghe, "Format Abstraction for Sparse Tensor Algebra
+//! Compilers"). The generic walker ([`crate::kernels::walk_partitioned_span`])
+//! is the library half of that story: it matches on [`Level`] at every
+//! node and calls a `dyn FnMut` per stored entry. This module is the
+//! generated half, in two pieces:
+//!
+//! 1. **A level layer.** A `Layout` names how the driver's level 0 is
+//!    stored and enumerates one task's stored entries as `Run`s:
+//!    consecutive positions of the last level, with each entry's outer
+//!    coordinates given through `Coord`. `DenseRows` (CSR, CSF) and
+//!    `CompressedRows` (DCSR, doubly-compressed CSF) walk level 0 row by
+//!    row and descend the compressed levels below it, so a run shares one
+//!    row (and fiber); `CooTails` (COO, `{Compressed, Singleton..}`)
+//!    makes one flat pass over the intersected clamps, and its runs carry
+//!    a stored coordinate per entry. Every layout resolves its bounds
+//!    through [`LevelClamps`] and works on the flat `pos`/`crd`/`vals`
+//!    slices — no per-row allocation, no per-entry interval-set lookup or
+//!    indirect call.
+//! 2. **One body per kernel.** `matrix::{spmv, spmm, sddmm}` and
+//!    `tensor3::spmttkrp` are each written once, generic over the
+//!    layout; rustc monomorphizes them per [`TABLE`] row
+//!    (`spmv::<DenseRows>` is the CSR SpMV), so the closure a body hands
+//!    the layout inlines into the layout's loops.
 //!
 //! ## The kernel table
 //!
@@ -18,12 +36,12 @@
 //! plan cache embeds in its keys. Blessed today:
 //!
 //! | kernel     | `{Dense,Compressed}` (CSR) | `{Compressed,Compressed}` (DCSR) | `{Compressed,Singleton}` (COO) |
-//! |------------|---------------------------|----------------------------------|--------------------------------|
-//! | `SpMv`     | ✓                         | ✓                                | ✓                              |
-//! | `SpMm`     | ✓                         | ✓                                | ✓                              |
-//! | `Sddmm`    | ✓                         | ✓                                | ✓                              |
+//! |------------|----------------------------|----------------------------------|--------------------------------|
+//! | `SpMv`     | `spmv::<DenseRows>`        | `spmv::<CompressedRows>`         | `spmv::<CooTails>`             |
+//! | `SpMm`     | `spmm::<DenseRows>`        | `spmm::<CompressedRows>`         | `spmm::<CooTails>`             |
+//! | `Sddmm`    | `sddmm::<DenseRows>`       | `sddmm::<CompressedRows>`        | `sddmm::<CooTails>`            |
 //!
-//! plus the order-3 driver analogues for `SpMttkrp`: CSF
+//! plus `spmttkrp::<_>` on the order-3 analogues: CSF
 //! `{Dense,Compressed,Compressed}`, doubly-compressed CSF
 //! `{Compressed,Compressed,Compressed}`, and COO
 //! `{Compressed,Singleton,Singleton}`. Everything else (`SpTtv`,
@@ -34,26 +52,26 @@
 //!
 //! Every specialized kernel is **bit-identical** to its generic
 //! counterpart (`matrix::*_color` / `tensor3::*_color`) for every
-//! partition, color, and [`KernelSpan`]: it resolves its iteration bounds
-//! through the same [`LevelClamps`] seam, visits stored entries in the
-//! same ascending order, and performs the same per-element floating-point
-//! accumulation sequence. It also returns the same exact integer op count,
-//! so the discrete-event cost model cannot observe which path ran. See
-//! `docs/kernels.md` for how to bless a new pair and the identity bar it
-//! must clear.
+//! partition, color, and [`KernelSpan`]: the layouts resolve iteration
+//! bounds through the same [`LevelClamps`] seam and emit stored entries in
+//! the same ascending position order, and each body performs the same
+//! per-element floating-point accumulation sequence. Each also returns the
+//! same exact integer op count, so the discrete-event cost model cannot
+//! observe which path ran. See `docs/kernels.md` for how to bless a new
+//! pair and the identity bar it must clear.
+//!
+//! [`Format::signature`]: spdistal_ir::Format::signature
 
 mod matrix;
 mod tensor3;
 
-pub use matrix::{
-    sddmm_coo, sddmm_csr, sddmm_dcsr, spmm_coo, spmm_csr, spmm_dcsr, spmv_coo, spmv_csr, spmv_dcsr,
-};
-pub use tensor3::{spmttkrp_coo3, spmttkrp_csf, spmttkrp_dcsf};
-
+use spdistal_runtime::Rect1;
 use spdistal_sparse::{Level, SpTensor};
 
 use super::{KernelSpan, LeafKernel, OutVals};
-use crate::level_funcs::TensorPartition;
+use crate::level_funcs::{LevelClamps, TensorPartition};
+use matrix::{sddmm, spmm, spmv};
+use tensor3::spmttkrp;
 
 /// A monomorphized leaf implementation, same contract as the generic
 /// `*_color` walkers: compute one `(color, span)` task's contribution and
@@ -95,69 +113,53 @@ pub enum SpecializedKernel {
 }
 
 /// The blessed (kernel, storage signature) pairs. Keys are
-/// [`kernel_name`] and `Format::levels_signature()`.
+/// [`kernel_name`] and `Format::levels_signature()`; every value is one
+/// kernel body monomorphized for the key's `Layout`.
 pub const TABLE: &[(&str, &str, SpecializedKernel)] = &[
+    ("SpMv", CSR, SpecializedKernel::SpMv(spmv::<DenseRows>)),
     (
         "SpMv",
-        "{Dense,Compressed}",
-        SpecializedKernel::SpMv(matrix::spmv_csr),
+        DCSR,
+        SpecializedKernel::SpMv(spmv::<CompressedRows>),
     ),
-    (
-        "SpMv",
-        "{Compressed,Compressed}",
-        SpecializedKernel::SpMv(matrix::spmv_dcsr),
-    ),
-    (
-        "SpMv",
-        "{Compressed,Singleton}",
-        SpecializedKernel::SpMv(matrix::spmv_coo),
-    ),
+    ("SpMv", COO, SpecializedKernel::SpMv(spmv::<CooTails>)),
+    ("SpMm", CSR, SpecializedKernel::SpMm(spmm::<DenseRows>)),
     (
         "SpMm",
-        "{Dense,Compressed}",
-        SpecializedKernel::SpMm(matrix::spmm_csr),
+        DCSR,
+        SpecializedKernel::SpMm(spmm::<CompressedRows>),
     ),
-    (
-        "SpMm",
-        "{Compressed,Compressed}",
-        SpecializedKernel::SpMm(matrix::spmm_dcsr),
-    ),
-    (
-        "SpMm",
-        "{Compressed,Singleton}",
-        SpecializedKernel::SpMm(matrix::spmm_coo),
-    ),
+    ("SpMm", COO, SpecializedKernel::SpMm(spmm::<CooTails>)),
+    ("Sddmm", CSR, SpecializedKernel::Sddmm(sddmm::<DenseRows>)),
     (
         "Sddmm",
-        "{Dense,Compressed}",
-        SpecializedKernel::Sddmm(matrix::sddmm_csr),
+        DCSR,
+        SpecializedKernel::Sddmm(sddmm::<CompressedRows>),
     ),
+    ("Sddmm", COO, SpecializedKernel::Sddmm(sddmm::<CooTails>)),
     (
-        "Sddmm",
-        "{Compressed,Compressed}",
-        SpecializedKernel::Sddmm(matrix::sddmm_dcsr),
-    ),
-    (
-        "Sddmm",
-        "{Compressed,Singleton}",
-        SpecializedKernel::Sddmm(matrix::sddmm_coo),
+        "SpMttkrp",
+        CSF,
+        SpecializedKernel::SpMttkrp(spmttkrp::<DenseRows>),
     ),
     (
         "SpMttkrp",
-        "{Dense,Compressed,Compressed}",
-        SpecializedKernel::SpMttkrp(tensor3::spmttkrp_csf),
+        DCSF,
+        SpecializedKernel::SpMttkrp(spmttkrp::<CompressedRows>),
     ),
     (
         "SpMttkrp",
-        "{Compressed,Compressed,Compressed}",
-        SpecializedKernel::SpMttkrp(tensor3::spmttkrp_dcsf),
-    ),
-    (
-        "SpMttkrp",
-        "{Compressed,Singleton,Singleton}",
-        SpecializedKernel::SpMttkrp(tensor3::spmttkrp_coo3),
+        COO3,
+        SpecializedKernel::SpMttkrp(spmttkrp::<CooTails>),
     ),
 ];
+
+const CSR: &str = "{Dense,Compressed}";
+const DCSR: &str = "{Compressed,Compressed}";
+const COO: &str = "{Compressed,Singleton}";
+const CSF: &str = "{Dense,Compressed,Compressed}";
+const DCSF: &str = "{Compressed,Compressed,Compressed}";
+const COO3: &str = "{Compressed,Singleton,Singleton}";
 
 /// The table-key name of a leaf kernel (every variant, blessed or not —
 /// also the `kernel` field of `kernel-dispatch` trace events).
@@ -206,9 +208,227 @@ pub fn resolve(
     lookup(kernel, levels_signature)
 }
 
+/// One run of a task's stored entries: consecutive positions `lo..` of
+/// the driver's last level, with their values and last-level coordinates.
+/// `row` (level 0) and, for order 3, `mid` (level 1) give each entry's
+/// outer coordinates.
+struct Run<'a, C> {
+    row: C,
+    mid: C,
+    lo: usize,
+    vals: &'a [f64],
+    crd: &'a [i64],
+    /// The run is a whole stored row under a row-keyed level 0 (order 2
+    /// only), so the task's position partition makes it the row's only
+    /// writer.
+    owned: bool,
+}
+
+/// The outer coordinates of a run's entries: one value for the whole run
+/// below a dense or compressed parent, or one stored coordinate per entry
+/// in a singleton level.
+trait Coord: Copy {
+    /// The coordinate of the run's entry `e`.
+    fn at(self, e: usize) -> usize;
+    /// The end of the segment of entries from `e` on that share entry
+    /// `e`'s coordinate, within a run of `len` entries.
+    fn segment_end(self, e: usize, len: usize) -> usize;
+}
+
+impl Coord for usize {
+    #[inline(always)]
+    fn at(self, _: usize) -> usize {
+        self
+    }
+
+    #[inline(always)]
+    fn segment_end(self, _: usize, len: usize) -> usize {
+        len
+    }
+}
+
+impl Coord for &[i64] {
+    #[inline(always)]
+    fn at(self, e: usize) -> usize {
+        self[e] as usize
+    }
+
+    #[inline(always)]
+    fn segment_end(self, e: usize, len: usize) -> usize {
+        (e + 1..len).find(|&x| self[x] != self[e]).unwrap_or(len)
+    }
+}
+
+/// How a blessed driver layout stores level 0, and with it how the levels
+/// below are reached: the one axis along which the blessed formats differ.
+trait Layout {
+    /// How this layout hands a run its outer coordinates.
+    type Coord<'a>: Coord;
+
+    /// Visit the runs of the order-`ORDER` driver `t` that `clamps` own,
+    /// in ascending position order.
+    fn runs<const ORDER: usize>(
+        t: &SpTensor,
+        clamps: &LevelClamps,
+        f: impl FnMut(Run<'_, Self::Coord<'_>>),
+    );
+}
+
+/// Dense level 0 (CSR, CSF): row `i` is position `i`.
+struct DenseRows;
+
+/// Compressed level 0 (DCSR, doubly-compressed CSF): only non-empty rows
+/// are stored, and position `q` holds row `crd0[q]`.
+struct CompressedRows;
+
+/// COO: a compressed level 0 with one entry per stored value, followed by
+/// singleton levels sharing its positions.
+struct CooTails;
+
+impl Layout for DenseRows {
+    type Coord<'a> = usize;
+
+    #[inline(always)]
+    fn runs<const ORDER: usize>(t: &SpTensor, clamps: &LevelClamps, f: impl FnMut(Run<usize>)) {
+        let rows = Rect1::new(0, t.dims()[0] as i64 - 1);
+        compressed_below::<ORDER>(t, clamps, rows, true, |q| q, f)
+    }
+}
+
+impl Layout for CompressedRows {
+    type Coord<'a> = usize;
+
+    #[inline(always)]
+    fn runs<const ORDER: usize>(t: &SpTensor, clamps: &LevelClamps, f: impl FnMut(Run<usize>)) {
+        let (pos0, crd0) = compressed(t, 0);
+        compressed_below::<ORDER>(t, clamps, pos0[0], false, |q| crd0[q] as usize, f)
+    }
+}
+
+/// Walk the level-0 positions `root ∩ clamp` (position `q` holds row
+/// `row_of(q)`) and descend the compressed levels below them. With
+/// `prefetch`, the head of the next row's data is hinted while the
+/// current row streams, hiding each row block's first-line miss. Only a
+/// dense level 0 asks for it: on a compressed level 0 the same hint
+/// measured slower (SpMV on DCSR, about 5–10% on a 2-core x86-64 VM).
+#[inline(always)]
+fn compressed_below<const ORDER: usize>(
+    t: &SpTensor,
+    clamps: &LevelClamps,
+    root: Rect1,
+    prefetch: bool,
+    row_of: impl Fn(usize) -> usize,
+    mut f: impl FnMut(Run<usize>),
+) {
+    if root.is_empty() {
+        return;
+    }
+    let (pos1, crd1) = compressed(t, 1);
+    let (pos2, leaf_crd) = if ORDER == 3 {
+        compressed(t, 2)
+    } else {
+        (&[][..], crd1)
+    };
+    let (vals, l1, l2) = (t.vals(), clamps.level(1), clamps.level(ORDER - 1));
+    for rr in clamps.level(0).intersect_rect(root) {
+        for q0 in rr.lo as usize..=rr.hi as usize {
+            if prefetch && q0 < rr.hi as usize {
+                let next = pos1[q0 + 1];
+                if !next.is_empty() {
+                    prefetch_read(crd1, next.lo as usize);
+                    if ORDER == 2 {
+                        prefetch_read(vals, next.lo as usize);
+                    }
+                }
+            }
+            let range = pos1[q0];
+            if range.is_empty() {
+                continue;
+            }
+            let row = row_of(q0);
+            let run = |r: Rect1, mid, owned| {
+                let (lo, hi) = (r.lo as usize, r.hi as usize);
+                let (vals, crd) = (&vals[lo..=hi], &leaf_crd[lo..=hi]);
+                Run {
+                    row,
+                    mid,
+                    lo,
+                    vals,
+                    crd,
+                    owned,
+                }
+            };
+            if ORDER == 2 {
+                // A clamp covering the whole row yields exactly one rect.
+                let mut it = l1.intersect_rect(range);
+                match it.next() {
+                    Some(first) if first == range => f(run(range, 0, true)),
+                    Some(first) => {
+                        for r in std::iter::once(first).chain(it) {
+                            f(run(r, 0, false));
+                        }
+                    }
+                    None => {}
+                }
+                continue;
+            }
+            for fr in l1.intersect_rect(range) {
+                for q1 in fr.lo as usize..=fr.hi as usize {
+                    let leaves = pos2[q1];
+                    if leaves.is_empty() {
+                        continue;
+                    }
+                    for r in l2.intersect_rect(leaves) {
+                        f(run(r, crd1[q1] as usize, false));
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl Layout for CooTails {
+    type Coord<'a> = &'a [i64];
+
+    /// The singleton levels share level 0's positions, so every level's
+    /// clamp composes into one set intersected with the root range up
+    /// front: one flat pass, one run per owned rect, with per-entry outer
+    /// coordinates. A COO run is never `owned`: a row may continue in
+    /// another color's positions.
+    #[inline(always)]
+    fn runs<const ORDER: usize>(
+        t: &SpTensor,
+        clamps: &LevelClamps,
+        mut f: impl FnMut(Run<&[i64]>),
+    ) {
+        let (pos0, rows) = compressed(t, 0);
+        let root = pos0[0];
+        if root.is_empty() {
+            return;
+        }
+        let mids = if ORDER == 3 { singleton(t, 1) } else { rows };
+        let (crd, vals) = (singleton(t, ORDER - 1), t.vals());
+        let mut owned = clamps.level(0).intersect(clamps.level(1));
+        if ORDER == 3 {
+            owned = owned.intersect(clamps.level(2));
+        }
+        for r in owned.intersect_rect(root) {
+            let (lo, hi) = (r.lo as usize, r.hi as usize);
+            f(Run {
+                row: &rows[lo..=hi],
+                mid: &mids[lo..=hi],
+                lo,
+                vals: &vals[lo..=hi],
+                crd: &crd[lo..=hi],
+                owned: false,
+            });
+        }
+    }
+}
+
 /// `pos`/`crd` views of a compressed level. Callers are blessed-dispatch
 /// paths: [`resolve`] has already verified the driver's level kinds.
-fn compressed(t: &SpTensor, level: usize) -> (&[spdistal_runtime::Rect1], &[i64]) {
+fn compressed(t: &SpTensor, level: usize) -> (&[Rect1], &[i64]) {
     match t.level(level) {
         Level::Compressed { pos, crd } => (pos, crd),
         _ => unreachable!("blessed dispatch: level {level} is compressed"),
@@ -223,10 +443,8 @@ fn singleton(t: &SpTensor, level: usize) -> &[i64] {
     }
 }
 
-/// Hint the prefetcher at the head of the next row's column/value data
-/// while the current row streams — row-keyed drivers (CSR, CSF) jump
-/// between discontiguous `crd`/`vals` blocks, so the lookahead hides the
-/// first-line miss of each block. No-op off x86-64.
+/// Hint the prefetcher at `slice[index]`. A cache hint never changes a
+/// result. No-op off x86-64.
 #[inline(always)]
 fn prefetch_read<T>(slice: &[T], index: usize) {
     #[cfg(target_arch = "x86_64")]

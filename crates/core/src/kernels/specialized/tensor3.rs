@@ -1,23 +1,26 @@
-//! Monomorphized SpMTTKRP loops over the order-3 driver layouts: CSF
+//! The SpMTTKRP kernel body, written once, generic over the driver's
+//! [`Layout`] and monomorphized per blessed order-3 signature: CSF
 //! `{Dense,Compressed,Compressed}`, doubly-compressed CSF
 //! `{Compressed,Compressed,Compressed}`, and COO
 //! `{Compressed,Singleton,Singleton}`.
 //!
 //! `A(i,l) += B(i,j,k) * C(j,l) * D(k,l)` with dense row-major factors of
-//! width `ldim`. Per-entry factor-row updates keep the accumulation order
-//! exactly the generic walker's; op accounting is `2 * ldim` per stored
-//! entry, as in [`crate::kernels::tensor3::spmttkrp_color`].
+//! width `ldim`. Each entry's `i` and `j` come through [`Coord`]: one
+//! value per run below CSF's compressed levels (so the `C` row slice is
+//! loop-invariant), a stored coordinate per entry in COO's singleton
+//! levels. Per-entry factor-row updates keep the accumulation order
+//! exactly the generic walker's, and op accounting is `2 * ldim` per
+//! stored entry, as in [`crate::kernels::tensor3::spmttkrp_color`].
 
-use spdistal_runtime::Rect1;
 use spdistal_sparse::SpTensor;
 
-use super::{compressed, prefetch_read, singleton};
+use super::{Coord, Layout};
 use crate::kernels::{KernelSpan, OutVals};
 use crate::level_funcs::{LevelClamps, TensorPartition};
 
-/// SpMTTKRP over a CSF driver (dense slices, compressed fibers).
+/// SpMTTKRP: `A(i,l) += B(i,j,k) * C(j,l) * D(k,l)`.
 #[allow(clippy::too_many_arguments)]
-pub fn spmttkrp_csf(
+pub(super) fn spmttkrp<L: Layout>(
     b: &SpTensor,
     part: &TensorPartition,
     color: usize,
@@ -27,160 +30,18 @@ pub fn spmttkrp_csf(
     ldim: usize,
     out: &OutVals,
 ) -> f64 {
-    let (pos1, crd1) = compressed(b, 1);
-    let (pos2, crd2) = compressed(b, 2);
-    let vals = b.vals();
-    let clamps = LevelClamps::new(part, color, span);
-    let (l0, l1, l2) = (clamps.level(0), clamps.level(1), clamps.level(2));
-    let nslices = b.dims()[0] as i64;
     let mut ops = 0u64;
-    for rr in l0.intersect_rect(Rect1::new(0, nslices - 1)) {
-        for i in rr.lo..=rr.hi {
-            if i < rr.hi {
-                let next = pos1[(i + 1) as usize];
-                if !next.is_empty() {
-                    prefetch_read(crd1, next.lo as usize);
-                }
-            }
-            let fibers = pos1[i as usize];
-            if fibers.is_empty() {
-                continue;
-            }
-            let row_start = i as usize * ldim;
-            for fr in l1.intersect_rect(fibers) {
-                for q1 in fr.lo..=fr.hi {
-                    let j = crd1[q1 as usize] as usize;
-                    let leaves = pos2[q1 as usize];
-                    if leaves.is_empty() {
-                        continue;
-                    }
-                    let crow = &c[j * ldim..(j + 1) * ldim];
-                    for lr in l2.intersect_rect(leaves) {
-                        let (lo, hi) = (lr.lo as usize, lr.hi as usize);
-                        let vs = &vals[lo..=hi];
-                        let ks = &crd2[lo..=hi];
-                        for (v, &k) in vs.iter().zip(ks) {
-                            let k = k as usize;
-                            out.add_scaled_product(
-                                row_start,
-                                *v,
-                                crow,
-                                &d[k * ldim..(k + 1) * ldim],
-                            );
-                        }
-                        ops += 2 * ldim as u64 * vs.len() as u64;
-                    }
-                }
-            }
-        }
-    }
-    ops as f64
-}
-
-/// SpMTTKRP over a doubly-compressed CSF driver (compressed slice level).
-#[allow(clippy::too_many_arguments)]
-pub fn spmttkrp_dcsf(
-    b: &SpTensor,
-    part: &TensorPartition,
-    color: usize,
-    span: Option<&KernelSpan>,
-    c: &[f64],
-    d: &[f64],
-    ldim: usize,
-    out: &OutVals,
-) -> f64 {
-    let (pos0, crd0) = compressed(b, 0);
-    let (pos1, crd1) = compressed(b, 1);
-    let (pos2, crd2) = compressed(b, 2);
-    let vals = b.vals();
-    let clamps = LevelClamps::new(part, color, span);
-    let (l0, l1, l2) = (clamps.level(0), clamps.level(1), clamps.level(2));
-    let root = pos0[0];
-    if root.is_empty() {
-        return 0.0;
-    }
-    let mut ops = 0u64;
-    for rr in l0.intersect_rect(root) {
-        for q0 in rr.lo..=rr.hi {
-            let fibers = pos1[q0 as usize];
-            if fibers.is_empty() {
-                continue;
-            }
-            let row_start = crd0[q0 as usize] as usize * ldim;
-            for fr in l1.intersect_rect(fibers) {
-                for q1 in fr.lo..=fr.hi {
-                    let j = crd1[q1 as usize] as usize;
-                    let leaves = pos2[q1 as usize];
-                    if leaves.is_empty() {
-                        continue;
-                    }
-                    let crow = &c[j * ldim..(j + 1) * ldim];
-                    for lr in l2.intersect_rect(leaves) {
-                        let (lo, hi) = (lr.lo as usize, lr.hi as usize);
-                        let vs = &vals[lo..=hi];
-                        let ks = &crd2[lo..=hi];
-                        for (v, &k) in vs.iter().zip(ks) {
-                            let k = k as usize;
-                            out.add_scaled_product(
-                                row_start,
-                                *v,
-                                crow,
-                                &d[k * ldim..(k + 1) * ldim],
-                            );
-                        }
-                        ops += 2 * ldim as u64 * vs.len() as u64;
-                    }
-                }
-            }
-        }
-    }
-    ops as f64
-}
-
-/// SpMTTKRP over an order-3 COO driver. The singleton levels share the
-/// level-0 entry index, so all three clamps compose into one set
-/// intersected with the root range.
-#[allow(clippy::too_many_arguments)]
-pub fn spmttkrp_coo3(
-    b: &SpTensor,
-    part: &TensorPartition,
-    color: usize,
-    span: Option<&KernelSpan>,
-    c: &[f64],
-    d: &[f64],
-    ldim: usize,
-    out: &OutVals,
-) -> f64 {
-    let (pos0, crd0) = compressed(b, 0);
-    let crd1 = singleton(b, 1);
-    let crd2 = singleton(b, 2);
-    let vals = b.vals();
-    let clamps = LevelClamps::new(part, color, span);
-    let all = clamps
-        .level(0)
-        .intersect(clamps.level(1))
-        .intersect(clamps.level(2));
-    let root = pos0[0];
-    if root.is_empty() {
-        return 0.0;
-    }
-    let mut ops = 0u64;
-    for r in all.intersect_rect(root) {
-        let (lo, hi) = (r.lo as usize, r.hi as usize);
-        let vs = &vals[lo..=hi];
-        let is = &crd0[lo..=hi];
-        let js = &crd1[lo..=hi];
-        let ks = &crd2[lo..=hi];
-        for (((v, &i), &j), &k) in vs.iter().zip(is).zip(js).zip(ks) {
-            let (j, k) = (j as usize, k as usize);
+    L::runs::<3>(b, &LevelClamps::new(part, color, span), |r| {
+        for (e, (v, &k)) in r.vals.iter().zip(r.crd).enumerate() {
+            let (j, k) = (r.mid.at(e), k as usize);
             out.add_scaled_product(
-                i as usize * ldim,
+                r.row.at(e) * ldim,
                 *v,
                 &c[j * ldim..(j + 1) * ldim],
                 &d[k * ldim..(k + 1) * ldim],
             );
         }
-        ops += 2 * ldim as u64 * vs.len() as u64;
-    }
+        ops += 2 * ldim as u64 * r.vals.len() as u64;
+    });
     ops as f64
 }

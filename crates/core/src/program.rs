@@ -405,7 +405,9 @@ impl Program {
     /// executable [`CompiledProgram`]. Schedules are resolved lazily (the
     /// auto-scheduler needs the tensor table), plans on first run. A
     /// statement whose index variable takes different extents in different
-    /// accesses fails here with [`Error::ShapeMismatch`].
+    /// accesses fails here with [`Error::ShapeMismatch`], and one whose leaf
+    /// kernel cannot read an input's storage (SpAdd3 on a non-CSR input)
+    /// with [`Error::Unsupported`].
     pub fn build(self) -> Result<CompiledProgram, Error> {
         if let Some(msg) = self.errors.into_iter().next() {
             return Err(Error::Unsupported(msg));
@@ -434,6 +436,7 @@ impl Program {
                 StmtSource::Built(build) => build(ctx.vars_mut()),
             };
             codegen::check_extents(&ctx, &stmt)?;
+            codegen::leaf_kernel(&ctx, &stmt)?;
             stmts.push(ProgramStmt {
                 stmt,
                 spec: decl.spec,

@@ -4,7 +4,7 @@
 //! OOM rather than wrong answers.
 
 use spdistal_repro::runtime::{Machine, MachineProfile, RuntimeError};
-use spdistal_repro::sparse::{dense_vector, generate};
+use spdistal_repro::sparse::{convert, dense_vector, generate, SpTensor};
 use spdistal_repro::spdistal::prelude::*;
 use spdistal_repro::spdistal::{access, assign, schedule_nonzero, schedule_outer_dim};
 
@@ -208,6 +208,71 @@ fn mismatched_operand_extents_rejected_at_compile() {
         .stmt("a(i) = B(i,j) * c(j)")
         .build();
     check(built.err().expect("build must reject the statement"));
+}
+
+/// SpAdd3 merges CSR rows through `pos` arrays indexed by row. An input
+/// stored any other way — COO, or DCSR (whose `pos1` is indexed by level-0
+/// position, so empty rows shift it) — is a typed compile error naming
+/// the tensor and its storage, at both front doors: not a panic in the
+/// leaf kernel, and not silently wrong values.
+#[test]
+fn spadd3_rejects_non_csr_inputs() {
+    type Convert = fn(&SpTensor) -> SpTensor;
+    let cases: [(Format, Convert, &str); 2] = [
+        (
+            Format::blocked_coo(),
+            convert::to_coo_format,
+            "{Compressed,Singleton}",
+        ),
+        (
+            Format::blocked_dcsr(),
+            convert::to_dcsr,
+            "{Compressed,Compressed}",
+        ),
+    ];
+    for (format, to_format, stored) in cases {
+        // 50 rows, 25 entries: many rows are empty.
+        let inputs: Vec<SpTensor> = (0..3)
+            .map(|k| to_format(&generate::uniform(50, 40, 25, 8 + k)))
+            .collect();
+        let check = |e: Error| match &e {
+            Error::Unsupported(msg) => assert!(
+                msg.contains("SpAdd3") && msg.contains("'B'") && msg.contains(stored),
+                "{msg}"
+            ),
+            other => panic!("expected an unsupported-input error, got: {other}"),
+        };
+
+        let mut ctx = Context::new(Machine::grid1d(4, MachineProfile::lassen_cpu()));
+        for (name, t) in ["B", "C", "D"].into_iter().zip(&inputs) {
+            ctx.add_tensor(name, t.clone(), format.clone()).unwrap();
+        }
+        ctx.add_tensor(
+            "A",
+            spdistal_repro::spdistal::plan::empty_csr(50, 40),
+            Format::blocked_csr(),
+        )
+        .unwrap();
+        let [i, j] = ctx.fresh_vars(["i", "j"]);
+        let stmt = assign(
+            "A",
+            &[i, j],
+            access("B", &[i, j]) + access("C", &[i, j]) + access("D", &[i, j]),
+        );
+        let sched = schedule_outer_dim(&mut ctx, &stmt, 4, ParallelUnit::CpuThread);
+        check(ctx.compile(&stmt, &sched).unwrap_err());
+
+        let mut program = Program::on(Machine::grid1d(4, MachineProfile::lassen_cpu())).tensor(
+            "A",
+            Format::blocked_csr(),
+            spdistal_repro::spdistal::plan::empty_csr(50, 40),
+        );
+        for (name, t) in ["B", "C", "D"].into_iter().zip(&inputs) {
+            program = program.tensor(name, format.clone(), t.clone());
+        }
+        let built = program.stmt("A(i,j) = B(i,j) + C(i,j) + D(i,j)").build();
+        check(built.err().expect("build must reject the statement"));
+    }
 }
 
 /// The deferred-execution model never synchronizes processors without a
