@@ -9,10 +9,12 @@
 //! each fraction the bench measures the wall-clock of
 //! `run_incremental()` — dirty-set lookup, color re-execution, merge
 //! into the retained output — against the wall-clock of a full `run()`
-//! over the same mutated tensor. Delta ingestion (`update_batch`)
-//! happens outside the timed region: the comparison is recompute
-//! latency after ingestion, which is the latency a serving loop sees
-//! per batch.
+//! over the same mutated tensor. Delta ingestion (`update_batch`) is
+//! timed separately, into an `update_batch_<f>pct_us` histogram per
+//! fraction: value-only batches are written in place, so ingestion costs
+//! one level walk per delta rather than a rebuild of the tensor, and the
+//! histogram gates that. The incremental-vs-full comparison is recompute
+//! latency after ingestion.
 //!
 //! At 1% dirty one color of sixteen re-executes and the win is large; at
 //! 10% a couple of colors run; at 50% half the colors re-execute — the
@@ -135,7 +137,13 @@ fn streaming_table(_c: &mut Criterion) {
         let mut fallback = false;
         let incr: Vec<f64> = (0..RUNS)
             .map(|round| {
-                program.update_batch("B", &batch_for(pct, round)).unwrap();
+                let batch = batch_for(pct, round);
+                let t0 = Instant::now();
+                program.update_batch("B", &batch).unwrap();
+                trace.observe_ns(
+                    &format!("update_batch_{pct}pct_ns"),
+                    t0.elapsed().as_nanos() as u64,
+                );
                 let t0 = Instant::now();
                 program.run_incremental().unwrap();
                 let dt = t0.elapsed().as_secs_f64();

@@ -17,7 +17,7 @@ use spdistal_runtime::{
     ExecMode, IntervalSet, Machine, Partition, Rect1, RegionId, Runtime, RuntimeError, SplitPolicy,
     Trace,
 };
-use spdistal_sparse::{CooTensor, CoordDelta, DeltaOp, Level, SpTensor};
+use spdistal_sparse::{CooTensor, CoordDelta, DeltaOp, Level, LevelFormat, SpTensor};
 
 use crate::level_funcs::{
     equal_coord_bounds, nonzero_partition, partition_tensor, replicated_partition,
@@ -112,7 +112,7 @@ impl From<RuntimeError> for Error {
 }
 
 /// Runtime regions backing one level of a tensor.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum LevelRegions {
     /// Dense levels are implicit; only their entry space matters.
     Dense,
@@ -123,10 +123,24 @@ pub enum LevelRegions {
 }
 
 /// Regions backing a whole tensor.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TensorRegions {
     pub levels: Vec<LevelRegions>,
     pub vals: RegionId,
+}
+
+impl TensorRegions {
+    /// Every region of the tensor: each level's `pos`/`crd`, then `vals`.
+    pub fn ids(&self) -> impl Iterator<Item = RegionId> + '_ {
+        self.levels
+            .iter()
+            .flat_map(|l| match *l {
+                LevelRegions::Dense => vec![],
+                LevelRegions::Compressed { pos, crd } => vec![pos, crd],
+                LevelRegions::Singleton { crd } => vec![crd],
+            })
+            .chain(std::iter::once(self.vals))
+    }
 }
 
 /// A tensor registered with the compiler: data + format + regions +
@@ -141,6 +155,11 @@ pub struct DistTensor {
     /// means fully replicated by a distribution with no shared names).
     pub dist_part: TensorPartition,
     pub dist_spec: DistSpec,
+    /// Whether value-only delta batches may be written in place
+    /// ([`SpTensor::is_canonical`]): checked by the first `update_batch`,
+    /// and forgotten by [`Context::tensor_data_mut`], whose caller may
+    /// restructure the data.
+    canonical: Option<bool>,
 }
 
 /// The compilation context: machine + runtime + tensor table + variables.
@@ -264,35 +283,29 @@ impl Context {
         let t = self
             .tensors
             .get_mut(name)
-            .map(|t| &mut t.data)
             .ok_or_else(|| Error::UnknownTensor(name.to_string()))?;
+        t.canonical = None;
         self.streaming.bump_version(name);
-        Ok(t)
+        Ok(&mut t.data)
     }
 
     /// Replace a tensor's data wholesale (sparse outputs with fresh
     /// patterns re-register their regions).
     pub fn replace_tensor_data(&mut self, name: &str, data: SpTensor) -> Result<(), Error> {
-        let (format, dist_spec_ok) = {
-            let t = self.tensor(name)?;
-            (t.format.clone(), t.data.dims() == data.dims())
-        };
-        if !dist_spec_ok {
+        let t = self.tensor(name)?;
+        if t.data.dims() != data.dims() {
             return Err(Error::Unsupported(format!(
                 "replace_tensor_data for '{name}' with different dims"
             )));
         }
-        self.tensors.remove(name);
-        self.add_tensor(name, data, format)
+        let format = t.format.clone();
+        self.reregister(name, data, format)
     }
 
     /// Apply a batch of coordinate deltas to a registered tensor and track
     /// the touched leading-dimension rows in its per-row-block dirty bitmap
-    /// (see [`crate::streaming`]). The tensor's data is rebuilt in its
-    /// registered format (regions and the initial distribution are
-    /// re-materialized, as with [`Context::replace_tensor_data`]); the
-    /// accumulated dirty state survives across batches until the next
-    /// program run consumes it.
+    /// (see [`crate::streaming`]); the accumulated dirty state survives
+    /// across batches until the next program run consumes it.
     ///
     /// Inserts of absent coordinates and deletes of present ones are
     /// *structural* (value positions move), which bars the incremental
@@ -300,6 +313,19 @@ impl Context {
     /// them. Overwrites of stored coordinates keep the structure — the case
     /// incremental recompute consumes. Deleting an absent coordinate is
     /// ignored; inserting over a present one degrades to an overwrite.
+    /// "Present" means what [`SpTensor::to_coo`] lists: stored, and under a
+    /// trailing Dense level also non-zero. Duplicate coordinates in a batch
+    /// end with the last value written.
+    ///
+    /// A batch with no structural delta is written in place: each value is
+    /// overwritten at its [`SpTensor::locate`]d position, so the tensor's
+    /// regions and distribution stay as registered (the modeled copies are
+    /// reset to the registration's, as a rebuild would leave them). A
+    /// structural batch — or any batch on a tensor whose levels are not
+    /// canonical ([`SpTensor::is_canonical`]) — rebuilds the stored levels
+    /// in the registered format and re-registers the tensor, as with
+    /// [`Context::replace_tensor_data`]. Both paths bump the version once
+    /// and report the same [`UpdateReport`].
     pub fn update_batch(
         &mut self,
         name: &str,
@@ -329,39 +355,8 @@ impl Context {
             report.rows_dirty = self.streaming.dirty(name).map_or(0, |d| d.map.dirty_rows());
             return Ok(report);
         }
-        let mut entries: BTreeMap<Vec<i64>, f64> = t.data.to_coo().into_iter().collect();
-        let mut touched_rows: Vec<i64> = Vec::new();
-        for d in deltas {
-            match d.op {
-                DeltaOp::Insert | DeltaOp::Overwrite => {
-                    match entries.insert(d.coord.clone(), d.val) {
-                        Some(_) => report.overwritten += 1,
-                        None => {
-                            report.inserted += 1;
-                            report.structural = true;
-                        }
-                    }
-                    touched_rows.push(d.coord[0]);
-                }
-                DeltaOp::Delete => {
-                    if entries.remove(&d.coord).is_some() {
-                        report.deleted += 1;
-                        report.structural = true;
-                        touched_rows.push(d.coord[0]);
-                    } else {
-                        report.ignored += 1;
-                    }
-                }
-            }
-        }
-        let formats = t.data.formats();
-        let mut coo = CooTensor::new(dims.clone());
-        for (c, v) in &entries {
-            coo.push(c, *v);
-        }
-        let data = coo.build(&formats);
-        // Carry the dirty state across the replacement (which, like any
-        // re-registration, clears it), then extend it with this batch.
+        // Carry the dirty state across the update (a re-registration
+        // clears it), then extend it with this batch.
         let prev = self.streaming.take_dirty(name);
         let from_version = prev
             .as_ref()
@@ -369,9 +364,60 @@ impl Context {
         let prev_structural = prev.as_ref().is_some_and(|p| p.structural);
         let prev_deltas = prev.as_ref().map_or(0, |p| p.deltas_applied);
         let mut map = prev.map_or_else(|| DirtyMap::new(dims[0]), |p| p.map);
-        self.replace_tensor_data(name, data)?;
-        for &r in &touched_rows {
-            map.mark(r);
+        if let Some(positions) = self.in_place_positions(name, deltas) {
+            let t = self.tensors.get_mut(name).expect("existence checked above");
+            let vals = t.data.vals_mut();
+            for (d, q) in deltas.iter().zip(positions) {
+                match q {
+                    Some(q) => {
+                        vals[q] = d.val;
+                        report.overwritten += 1;
+                        map.mark(d.coord[0]);
+                    }
+                    None => report.ignored += 1,
+                }
+            }
+            // A stored -0.0 can make a dense tensor uncanonical.
+            if deltas
+                .iter()
+                .any(|d| d.val == 0.0 && d.val.is_sign_negative())
+            {
+                t.canonical = None;
+            }
+            self.streaming.bump_version(name);
+            self.restage(name)?;
+        } else {
+            let t = self.tensor(name)?;
+            let mut entries: BTreeMap<Vec<i64>, f64> = t.data.to_coo().into_iter().collect();
+            for d in deltas {
+                match d.op {
+                    DeltaOp::Insert | DeltaOp::Overwrite => {
+                        match entries.insert(d.coord.clone(), d.val) {
+                            Some(_) => report.overwritten += 1,
+                            None => {
+                                report.inserted += 1;
+                                report.structural = true;
+                            }
+                        }
+                        map.mark(d.coord[0]);
+                    }
+                    DeltaOp::Delete => {
+                        if entries.remove(&d.coord).is_some() {
+                            report.deleted += 1;
+                            report.structural = true;
+                            map.mark(d.coord[0]);
+                        } else {
+                            report.ignored += 1;
+                        }
+                    }
+                }
+            }
+            let mut coo = CooTensor::new(dims);
+            for (c, v) in &entries {
+                coo.push(c, *v);
+            }
+            let data = coo.build(&t.data.formats());
+            self.replace_tensor_data(name, data)?;
         }
         report.rows_dirty = map.dirty_rows();
         self.streaming.set_dirty(
@@ -385,6 +431,38 @@ impl Context {
             },
         );
         Ok(report)
+    }
+
+    /// Where each delta of a value-only batch writes (`None` for an
+    /// ignored delete), classified against the pre-batch data; `None` when
+    /// some delta is structural or the tensor's levels are not canonical.
+    fn in_place_positions(
+        &mut self,
+        name: &str,
+        deltas: &[CoordDelta],
+    ) -> Option<Vec<Option<usize>>> {
+        let t = self.tensors.get_mut(name)?;
+        let data = &t.data;
+        if !*t.canonical.get_or_insert_with(|| data.is_canonical()) {
+            return None;
+        }
+        let trailing_dense = data
+            .levels()
+            .last()
+            .is_some_and(|l| l.format() == LevelFormat::Dense);
+        deltas
+            .iter()
+            .map(|d| {
+                let present = data
+                    .locate(&d.coord)
+                    .filter(|&q| !trailing_dense || data.vals()[q] != 0.0);
+                match (d.op, present) {
+                    (DeltaOp::Insert | DeltaOp::Overwrite, Some(q)) => Some(Some(q)),
+                    (DeltaOp::Delete, None) => Some(None),
+                    _ => None,
+                }
+            })
+            .collect()
     }
 
     /// The tensor's current version: bumped on every registration,
@@ -412,19 +490,12 @@ impl Context {
     /// partitions but callers caching plans by format signature (the
     /// `Program` front-end) will rightly miss and recompile.
     pub fn set_tensor_format(&mut self, name: &str, format: Format) -> Result<(), Error> {
-        // Validate against the tensor's order before touching the table,
-        // and restore the old registration if re-adding fails for any
-        // later reason — a rejected format must leave the context intact.
-        let order = self.tensor(name)?.data.order();
-        format.validate(order)?;
-        let old = self.tensors.remove(name).expect("existence checked above");
-        match self.add_tensor(name, old.data.clone(), format) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.tensors.insert(name.to_string(), old);
-                Err(e)
-            }
-        }
+        // Validate against the tensor's order before touching the table; a
+        // later failure restores the old registration (`reregister`).
+        let t = self.tensor(name)?;
+        format.validate(t.data.order())?;
+        let data = t.data.clone();
+        self.reregister(name, data, format)
     }
 
     /// Register a tensor with its format and materialize its initial
@@ -442,7 +513,10 @@ impl Context {
         let spec = format.dist.resolve(data.order())?;
         let regions = self.create_regions(name, &data);
         let dist_part = self.initial_partition(&data, &spec)?;
-        self.attach_distribution(&data, &regions, &dist_part, &spec)?;
+        if let Err(e) = self.attach_distribution(&regions, &dist_part, &spec) {
+            self.release(&regions);
+            return Err(e);
+        }
         self.tensors.insert(
             name.to_string(),
             DistTensor {
@@ -452,9 +526,62 @@ impl Context {
                 regions,
                 dist_part,
                 dist_spec: spec,
+                canonical: None,
             },
         );
         Ok(())
+    }
+
+    /// Replace a registered tensor by `data` under `format`. The old
+    /// regions' modeled memory is given back before the new ones are
+    /// attached; if the new registration fails, the old one is restored
+    /// together with its charge.
+    fn reregister(&mut self, name: &str, data: SpTensor, format: Format) -> Result<(), Error> {
+        let old = self
+            .tensors
+            .remove(name)
+            .ok_or_else(|| Error::UnknownTensor(name.to_string()))?;
+        let held = self.release(&old.regions);
+        if let Err(e) = self.add_tensor(name, data, format) {
+            self.tensors.insert(name.to_string(), old);
+            for (r, p, valid) in held {
+                self.runtime.attach(r, p, valid)?;
+            }
+            return Err(e);
+        }
+        Ok(())
+    }
+
+    /// Drop every processor's copy of the tensor's regions, giving back
+    /// the memory their attachments and later copies charged. Returns what
+    /// was valid where, so a failed re-registration can restore it.
+    fn release(&mut self, regions: &TensorRegions) -> Vec<(RegionId, usize, IntervalSet)> {
+        let mut held = Vec::new();
+        for r in regions.ids() {
+            for p in 0..self.machine().num_procs() {
+                let valid = self.runtime.valid_in(r, p).clone();
+                if !valid.is_empty() {
+                    self.runtime.evict(r, p, &valid);
+                    held.push((r, p, valid));
+                }
+            }
+        }
+        held
+    }
+
+    /// Reset a tensor's modeled copies to what its registration left: the
+    /// staging copy plus each owner's share, and no other processor copy.
+    /// An in-place write makes other copies stale, and this keeps the
+    /// model where the rebuild path's fresh regions put it.
+    fn restage(&mut self, name: &str) -> Result<(), Error> {
+        let t = self.tensors.remove(name).expect("caller checked existence");
+        self.release(&t.regions);
+        for r in t.regions.ids() {
+            self.runtime.attach_sys(r);
+        }
+        let res = self.attach_distribution(&t.regions, &t.dist_part, &t.dist_spec);
+        self.tensors.insert(name.to_string(), t);
+        res
     }
 
     fn create_regions(&mut self, name: &str, data: &SpTensor) -> TensorRegions {
@@ -549,7 +676,6 @@ impl Context {
     /// processors (replicating along unpartitioned machine dimensions).
     fn attach_distribution(
         &mut self,
-        data: &SpTensor,
         regions: &TensorRegions,
         part: &TensorPartition,
         spec: &DistSpec,
@@ -591,7 +717,6 @@ impl Context {
                     .attach(regions.vals, p, part.vals.subset(color).clone())?;
             }
         }
-        let _ = data;
         Ok(())
     }
 }
@@ -642,6 +767,7 @@ pub fn full_partition(len: u64, colors: usize) -> Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spdistal_ir::Distribution;
     use spdistal_runtime::MachineProfile;
     use spdistal_sparse::{dense_vector, generate};
 
@@ -749,5 +875,168 @@ mod tests {
         c.replace_tensor_data("a", dense_vector(vec![1.0; 10]))
             .unwrap();
         assert_eq!(c.tensor("a").unwrap().data.vals()[0], 1.0);
+    }
+
+    /// 4 processors with `capacity` bytes each, holding a row-blocked
+    /// 256x256 CSR of ~4000 stored entries (~16 KB per processor).
+    fn bounded(capacity: u64) -> Context {
+        let mut c = Context::new(Machine::grid1d(
+            4,
+            MachineProfile::test_profile_with_capacity(capacity),
+        ));
+        let b = generate::uniform(256, 256, 4000, 7);
+        c.add_tensor("B", b, Format::blocked_csr()).unwrap();
+        c
+    }
+
+    fn resident(c: &Context) -> Vec<u64> {
+        (0..c.machine().num_procs())
+            .map(|p| c.runtime().resident_bytes(p))
+            .collect()
+    }
+
+    fn first_absent(t: &SpTensor) -> Vec<i64> {
+        let present: std::collections::BTreeSet<Vec<i64>> =
+            t.to_coo().into_iter().map(|(c, _)| c).collect();
+        (0..t.dims()[1] as i64)
+            .map(|j| vec![0, j])
+            .find(|c| !present.contains(c))
+            .unwrap()
+    }
+
+    #[test]
+    fn structural_batches_give_back_the_replaced_registration() {
+        let mut c = bounded(1 << 20);
+        let before = resident(&c);
+        let absent = first_absent(&c.tensor("B").unwrap().data);
+        let batch = [
+            CoordDelta::insert(absent.clone(), 2.5),
+            CoordDelta::delete(absent),
+        ];
+        for _ in 0..2000 {
+            let rep = c.update_batch("B", &batch).unwrap();
+            assert!(rep.structural);
+        }
+        assert_eq!(resident(&c), before);
+    }
+
+    #[test]
+    fn value_only_batches_write_in_place() {
+        let mut c = bounded(1 << 20);
+        let before = resident(&c);
+        let t = c.tensor("B").unwrap();
+        let regions = t.regions.clone();
+        let coo = t.data.to_coo();
+        let absent = first_absent(&t.data);
+        let v0 = c.tensor_version("B");
+        for k in 0..10_000 {
+            let (coord, v) = &coo[k % coo.len()];
+            let rep = c
+                .update_batch(
+                    "B",
+                    &[
+                        CoordDelta::overwrite(coord.clone(), v + k as f64),
+                        CoordDelta::delete(absent.clone()),
+                    ],
+                )
+                .unwrap();
+            assert_eq!(
+                (rep.overwritten, rep.ignored, rep.structural),
+                (1, 1, false)
+            );
+        }
+        let t = c.tensor("B").unwrap();
+        assert_eq!(t.regions, regions);
+        assert_eq!(resident(&c), before);
+        assert_eq!(c.tensor_version("B"), v0 + 10_000);
+        let (coord, v) = &coo[9_999 % coo.len()];
+        assert_eq!(t.data.vals()[t.data.locate(coord).unwrap()], v + 9_999.0);
+    }
+
+    #[test]
+    fn uncanonical_tensor_takes_the_rebuild_path() {
+        let mut c = ctx(2);
+        // Row 0's segment is out of order: a binary search could miss.
+        let b = SpTensor::from_parts(
+            vec![2, 4],
+            vec![
+                Level::Dense { size: 2 },
+                Level::Compressed {
+                    pos: vec![Rect1::new(0, 1), Rect1::new(2, 2)],
+                    crd: vec![3, 1, 0],
+                },
+            ],
+            vec![1.0, 2.0, 3.0],
+        );
+        c.add_tensor("B", b, Format::blocked_csr()).unwrap();
+        let regions = c.tensor("B").unwrap().regions.clone();
+        let rep = c
+            .update_batch("B", &[CoordDelta::overwrite(vec![0, 1], 5.0)])
+            .unwrap();
+        assert_eq!((rep.overwritten, rep.structural), (1, false));
+        let t = c.tensor("B").unwrap();
+        assert_ne!(t.regions, regions, "rebuilt and re-registered");
+        assert_eq!(
+            t.data.to_coo(),
+            vec![(vec![0, 1], 5.0), (vec![0, 3], 1.0), (vec![1, 0], 3.0)]
+        );
+        // The rebuilt tensor is canonical, so the next batch is in place.
+        let regions = t.regions.clone();
+        c.update_batch("B", &[CoordDelta::overwrite(vec![0, 3], 6.0)])
+            .unwrap();
+        assert_eq!(c.tensor("B").unwrap().regions, regions);
+    }
+
+    #[test]
+    fn negative_zero_in_a_dense_tensor_matches_the_rebuild_path() {
+        let mut c = ctx(2);
+        let a = dense_vector(vec![1.0, 2.0, 3.0, 4.0]);
+        c.add_tensor("a", a, Format::blocked_dense_vec()).unwrap();
+        let regions = c.tensor("a").unwrap().regions.clone();
+        // (0) is present: written in place, as a rebuild would store it.
+        c.update_batch("a", &[CoordDelta::overwrite(vec![0], -0.0)])
+            .unwrap();
+        let t = c.tensor("a").unwrap();
+        assert_eq!(t.regions, regions);
+        assert_eq!(t.data.vals()[0].to_bits(), (-0.0f64).to_bits());
+        // Now (0) is absent to `to_coo`, so a rebuild stores +0.0 there:
+        // the next batch takes the rebuild path to match.
+        let rep = c
+            .update_batch("a", &[CoordDelta::overwrite(vec![1], 5.0)])
+            .unwrap();
+        assert_eq!((rep.overwritten, rep.structural), (1, false));
+        let t = c.tensor("a").unwrap();
+        assert_ne!(t.regions, regions);
+        assert_eq!(t.data.vals()[0].to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn failed_reregistration_restores_the_old_charge() {
+        let mut c = bounded(64 << 10);
+        let before = resident(&c);
+        let regions = c.tensor("B").unwrap().regions.clone();
+        // Valid for a matrix, but a universe distribution of the inner
+        // dimension fails only once the partition is built.
+        let inner = Format::new(
+            Format::blocked_csr().levels,
+            Distribution::new("xy", "y").unwrap(),
+        );
+        assert!(c.set_tensor_format("B", inner).is_err());
+        assert_eq!(c.tensor("B").unwrap().regions, regions);
+        assert_eq!(resident(&c), before);
+        // A replacement too large for the processors' memory OOMs part-way
+        // through attaching and leaves the old registration charged.
+        let big = generate::uniform(256, 256, 200_000, 8);
+        let err = c.replace_tensor_data("B", big).unwrap_err();
+        assert!(
+            matches!(err, Error::Runtime(RuntimeError::Oom { .. })),
+            "{err}"
+        );
+        assert_eq!(c.tensor("B").unwrap().regions, regions);
+        assert_eq!(resident(&c), before);
+        // A successful re-registration charges the new layout only.
+        c.set_tensor_format("B", Format::nonzero_csr()).unwrap();
+        let (now, was) = (resident(&c), before);
+        assert!(now.iter().sum::<u64>() * 2 < was.iter().sum::<u64>() * 3);
     }
 }

@@ -9,6 +9,8 @@
 //! into `crd` so that partitions of `pos` and `crd` can be related with the
 //! dependent-partitioning operators `image` and `preimage` (Figure 7).
 
+use std::cmp::Ordering;
+
 use spdistal_runtime::Rect1;
 
 /// Per-dimension storage format selector.
@@ -215,6 +217,154 @@ impl SpTensor {
         }
     }
 
+    /// The value position of `coord` (one component per stored
+    /// dimension): the entry [`SpTensor::for_each`] visits it at, or `None`
+    /// if the coordinate tree holds no such entry. A trailing-dense
+    /// position is located even when its value is zero (`to_coo` skips
+    /// those). The walk descends level by level: a Dense level computes
+    /// `entry * size + c`, a Compressed level binary-searches its segment
+    /// of `crd`, and a Compressed level followed by Singleton levels (the
+    /// COO layouts) binary-searches the segment lexicographically over the
+    /// whole coordinate tail. The searches assume sorted segments, as
+    /// [`crate::CooTensor::build`] makes them (see
+    /// [`SpTensor::is_canonical`]).
+    pub fn locate(&self, coord: &[i64]) -> Option<usize> {
+        if coord.len() != self.order() {
+            return None;
+        }
+        let mut entry = 0usize;
+        let mut k = 0;
+        while k < self.order() {
+            let c = coord[k];
+            match &self.levels[k] {
+                Level::Dense { size } => {
+                    if c < 0 || c as usize >= *size {
+                        return None;
+                    }
+                    entry = entry * size + c as usize;
+                }
+                Level::Compressed { pos, .. } => {
+                    let r = pos[entry];
+                    if r.is_empty() {
+                        return None;
+                    }
+                    let last = k + self.singleton_tail(k);
+                    let (mut lo, mut hi) = (r.lo as usize, r.hi as usize + 1);
+                    loop {
+                        if lo >= hi {
+                            return None;
+                        }
+                        let q = lo + (hi - lo) / 2;
+                        match self
+                            .crd_tuple(k..last + 1, q)
+                            .cmp(coord[k..=last].iter().copied())
+                        {
+                            Ordering::Less => lo = q + 1,
+                            Ordering::Greater => hi = q,
+                            Ordering::Equal => {
+                                entry = q;
+                                break;
+                            }
+                        }
+                    }
+                    k = last;
+                }
+                Level::Singleton { crd } => {
+                    if crd[entry] != c {
+                        return None;
+                    }
+                }
+            }
+            k += 1;
+        }
+        Some(entry)
+    }
+
+    /// Whether [`crate::CooTensor::build`] reassembles exactly this tensor
+    /// from its [`SpTensor::to_coo`] under the same formats, so values
+    /// written at [`SpTensor::locate`]d positions leave the tensor a
+    /// rebuild would make. That holds when Dense levels only form a prefix
+    /// (a Dense level below a sparse one drops subtrees whose values all
+    /// become zero), every Compressed level's segments tile its `crd` in
+    /// parent order with [`Rect1::empty`] for empty ones, each segment is
+    /// strictly increasing (lexicographically over the Singleton levels
+    /// directly below it, the only place Singletons may sit), no sparse
+    /// entry has an empty subtree, and a fully dense tensor stores no
+    /// `-0.0` (`to_coo` skips it, so a rebuild stores `+0.0`).
+    /// [`SpTensor::from_parts`] checks none of this.
+    pub fn is_canonical(&self) -> bool {
+        let dense_prefix = self
+            .levels
+            .iter()
+            .take_while(|l| l.format() == LevelFormat::Dense)
+            .count();
+        for k in dense_prefix..self.order() {
+            match &self.levels[k] {
+                Level::Dense { .. } => return false,
+                Level::Singleton { .. } if k == dense_prefix => return false,
+                Level::Singleton { .. } => {}
+                Level::Compressed { pos, crd } => {
+                    let tail = self.singleton_tail(k);
+                    if self.levels[k + tail + 1..]
+                        .iter()
+                        .any(|l| l.format() == LevelFormat::Singleton)
+                    {
+                        return false;
+                    }
+                    let keep_empty = k == dense_prefix;
+                    let mut next = 0i64;
+                    for &r in pos {
+                        if r == Rect1::empty() && keep_empty {
+                            continue;
+                        }
+                        if r.is_empty() || r.lo != next {
+                            return false;
+                        }
+                        let seg = r.lo as usize..r.hi as usize + 1;
+                        let ordered = if tail == 0 {
+                            crd[seg].windows(2).all(|w| w[0] < w[1])
+                        } else {
+                            let ks = k..k + tail + 1;
+                            (seg.start..seg.end - 1).all(|q| {
+                                self.crd_tuple(ks.clone(), q)
+                                    .lt(self.crd_tuple(ks.clone(), q + 1))
+                            })
+                        };
+                        if !ordered {
+                            return false;
+                        }
+                        next = r.hi + 1;
+                    }
+                    if next as usize != crd.len() {
+                        return false;
+                    }
+                }
+            }
+        }
+        dense_prefix < self.order() || self.vals.iter().all(|v| *v != 0.0 || v.is_sign_positive())
+    }
+
+    /// Number of Singleton levels directly below level `k`.
+    fn singleton_tail(&self, k: usize) -> usize {
+        self.levels[k + 1..]
+            .iter()
+            .take_while(|l| l.format() == LevelFormat::Singleton)
+            .count()
+    }
+
+    /// The `crd` array of sparse level `k` (empty for a Dense level).
+    fn crd_of(&self, k: usize) -> &[i64] {
+        match &self.levels[k] {
+            Level::Compressed { crd, .. } | Level::Singleton { crd } => crd,
+            Level::Dense { .. } => &[],
+        }
+    }
+
+    /// The coordinates stored at position `q` of the sparse levels `ks`.
+    fn crd_tuple(&self, ks: std::ops::Range<usize>, q: usize) -> impl Iterator<Item = i64> + '_ {
+        ks.map(move |l| self.crd_of(l)[q])
+    }
+
     /// Flatten to coordinate form (structural non-zeros only).
     pub fn to_coo(&self) -> Vec<(Vec<i64>, f64)> {
         let mut out = Vec::new();
@@ -363,6 +513,164 @@ mod tests {
             ],
             vec![1.0],
         );
+    }
+
+    use crate::builder::CooTensor;
+    use crate::generate;
+    use LevelFormat::{Compressed as C, Dense as D, Singleton as S};
+
+    /// `t` rebuilt without the entries of its first quarter of outer
+    /// coordinates (a leading block that stores nothing).
+    fn first_quarter_empty(t: &SpTensor) -> SpTensor {
+        let mut coo = CooTensor::new(t.dims().to_vec());
+        for (c, v) in t.to_coo() {
+            if c[0] as usize >= t.dims()[0] / 4 {
+                coo.push(&c, v);
+            }
+        }
+        coo.build(&t.formats())
+    }
+
+    /// Every blessed layout (CSR, DCSR, COO, CSF, DCSF, COO3, dense) over a
+    /// small matrix with empty rows, a 3-tensor, and their first-quarter-
+    /// empty variants.
+    fn layouts() -> Vec<SpTensor> {
+        let m = generate::uniform(24, 20, 90, 5);
+        let t3 = generate::tensor3_uniform([8, 7, 6], 70, 6);
+        let mut bases = vec![
+            (
+                m.clone(),
+                vec![vec![D, C], vec![C, C], vec![C, S], vec![D, D]],
+            ),
+            (
+                t3.clone(),
+                vec![vec![D, C, C], vec![C, C, C], vec![C, S, S], vec![D, D, D]],
+            ),
+        ];
+        bases.push((first_quarter_empty(&m), bases[0].1.clone()));
+        bases.push((first_quarter_empty(&t3), bases[1].1.clone()));
+        let mut out = Vec::new();
+        for (base, formats) in bases {
+            for f in formats {
+                let mut coo = CooTensor::new(base.dims().to_vec());
+                for (c, v) in base.to_coo() {
+                    coo.push(&c, v);
+                }
+                out.push(coo.build(&f));
+            }
+        }
+        out
+    }
+
+    /// Every coordinate of `dims`, row-major.
+    fn grid(dims: &[usize]) -> Vec<Vec<i64>> {
+        let mut all = vec![vec![]];
+        for &d in dims {
+            all = all
+                .into_iter()
+                .flat_map(|c: Vec<i64>| {
+                    (0..d as i64).map(move |x| {
+                        let mut c = c.clone();
+                        c.push(x);
+                        c
+                    })
+                })
+                .collect();
+        }
+        all
+    }
+
+    #[test]
+    fn locate_finds_every_stored_entry_at_its_visit_position() {
+        for t in layouts() {
+            assert!(t.is_canonical(), "{:?}", t.formats());
+            let mut stored = std::collections::BTreeMap::new();
+            let mut q = 0;
+            t.for_each(|c, v| {
+                assert_eq!(t.locate(c), Some(q), "{:?} {c:?}", t.formats());
+                assert_eq!(t.vals()[q].to_bits(), v.to_bits());
+                stored.insert(c.to_vec(), q);
+                q += 1;
+            });
+            assert_eq!(q, t.num_stored());
+            for (c, _) in t.to_coo() {
+                assert!(stored.contains_key(&c));
+            }
+            for c in grid(t.dims()) {
+                assert_eq!(t.locate(&c), stored.get(&c).copied(), "{c:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn locate_rejects_wrong_order_and_empty_tensors() {
+        let t = fig7_matrix();
+        assert_eq!(t.locate(&[0]), None);
+        assert_eq!(t.locate(&[2, 0]), Some(5));
+        assert_eq!(t.locate(&[2, 1]), None);
+        for f in [vec![D, C], vec![C, C], vec![C, S]] {
+            let empty = CooTensor::new(vec![3, 3]).build(&f);
+            assert!(empty.is_canonical());
+            assert!(grid(&[3, 3]).iter().all(|c| empty.locate(c).is_none()));
+        }
+    }
+
+    #[test]
+    fn uncanonical_levels_are_detected() {
+        assert!(fig7_matrix().is_canonical());
+        let csr = |pos: Vec<Rect1>, crd: Vec<i64>| {
+            let n = crd.len();
+            SpTensor::from_parts(
+                vec![2, 4],
+                vec![Level::Dense { size: 2 }, Level::Compressed { pos, crd }],
+                vec![1.0; n],
+            )
+        };
+        // Sorted, tiled, canonical empties.
+        assert!(csr(vec![Rect1::new(0, 1), Rect1::empty()], vec![1, 3]).is_canonical());
+        // A segment out of order, or holding a duplicate.
+        assert!(!csr(vec![Rect1::new(0, 1), Rect1::empty()], vec![3, 1]).is_canonical());
+        assert!(!csr(vec![Rect1::new(0, 1), Rect1::empty()], vec![2, 2]).is_canonical());
+        // An empty segment spelled other than `Rect1::empty()`.
+        assert!(!csr(vec![Rect1::new(0, 1), Rect1::new(2, 1)], vec![1, 3]).is_canonical());
+        // Segments that overlap or leave `crd` entries unowned.
+        assert!(!csr(vec![Rect1::new(0, 1), Rect1::new(1, 1)], vec![1, 3]).is_canonical());
+        assert!(!csr(vec![Rect1::new(1, 1), Rect1::empty()], vec![1, 3]).is_canonical());
+        // A sparse entry with an empty subtree (DCSR row 1 stores nothing).
+        let dcsr = SpTensor::from_parts(
+            vec![2, 2],
+            vec![
+                Level::Compressed {
+                    pos: vec![Rect1::new(0, 1)],
+                    crd: vec![0, 1],
+                },
+                Level::Compressed {
+                    pos: vec![Rect1::new(0, 0), Rect1::empty()],
+                    crd: vec![1],
+                },
+            ],
+            vec![1.0],
+        );
+        assert!(!dcsr.is_canonical());
+        // A fully dense tensor storing -0.0, which `to_coo` skips.
+        assert!(crate::dense_vector(vec![1.0, -2.0, 0.0]).is_canonical());
+        assert!(!crate::dense_vector(vec![1.0, -0.0]).is_canonical());
+        // A Dense level below a sparse one: zeroed values would drop rows.
+        let cd = CooTensor::new(vec![2, 2]).build(&[C, D]);
+        assert!(!cd.is_canonical());
+        // COO whose entries are out of order across the Singleton tail.
+        let coo = SpTensor::from_parts(
+            vec![2, 3],
+            vec![
+                Level::Compressed {
+                    pos: vec![Rect1::new(0, 1)],
+                    crd: vec![0, 0],
+                },
+                Level::Singleton { crd: vec![2, 1] },
+            ],
+            vec![1.0, 2.0],
+        );
+        assert!(!coo.is_canonical());
     }
 
     #[test]

@@ -10,8 +10,13 @@
 //! structural batches (inserts/deletes) must fall back, recompile the
 //! plan against the new pattern, and still match bit-for-bit. A proptest
 //! sweep over random delta batches rides at the bottom.
+//!
+//! Value-only batches are written in place (no rebuild, no new regions);
+//! `update_batch_in_place_matches_rebuild_oracle` pins that path to a
+//! rebuild oracle — flatten, apply, `CooTensor::build` — bit for bit, for
+//! every blessed layout and the batch shapes that stress classification.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
@@ -87,18 +92,56 @@ fn insert_deltas(t: &SpTensor, k: usize) -> Vec<CoordDelta> {
     out
 }
 
-/// The four batch shapes every pair is swept through. The bool marks
-/// value-only batches that must take the fast path.
+/// Value-only batches over the lexicographically first stored
+/// coordinates: plain overwrites, a coordinate written twice (the last
+/// value wins), an insert over a present coordinate (an overwrite), a
+/// delete of an absent coordinate (ignored), and overwrites to `0.0` and
+/// `-0.0` (still stored afterwards).
+fn value_only_batches(t: &SpTensor) -> Vec<(&'static str, Vec<CoordDelta>)> {
+    let first: Vec<Vec<i64>> = t.to_coo().into_iter().take(2).map(|(c, _)| c).collect();
+    let absent = insert_deltas(t, 1).remove(0).coord;
+    vec![
+        ("overwrite", overwrite_deltas(t, 3)),
+        (
+            "duplicate",
+            vec![
+                CoordDelta::overwrite(first[0].clone(), 1.25),
+                CoordDelta::overwrite(first[1].clone(), 2.5),
+                CoordDelta::overwrite(first[0].clone(), 3.75),
+            ],
+        ),
+        (
+            "insert-present",
+            vec![CoordDelta::insert(first[1].clone(), 4.5)],
+        ),
+        ("delete-absent", vec![CoordDelta::delete(absent)]),
+        (
+            "zero",
+            vec![
+                CoordDelta::overwrite(first[0].clone(), 0.0),
+                CoordDelta::overwrite(first[1].clone(), -0.0),
+            ],
+        ),
+    ]
+}
+
+/// The batch shapes every pair is swept through: the value-only ones plus
+/// structural inserts, deletes and a mix. The bool marks value-only
+/// batches that must take the fast path.
 fn delta_mixes(t: &SpTensor) -> Vec<(&'static str, Vec<CoordDelta>, bool)> {
     let mut mixed = overwrite_deltas(t, 1);
     mixed.extend(insert_deltas(t, 1));
     mixed.extend(delete_deltas(t, 1));
-    vec![
-        ("overwrite", overwrite_deltas(t, 3), true),
+    let mut mixes: Vec<_> = value_only_batches(t)
+        .into_iter()
+        .map(|(name, deltas)| (name, deltas, true))
+        .collect();
+    mixes.extend([
         ("insert", insert_deltas(t, 2), false),
         ("delete", delete_deltas(t, 2), false),
         ("mixed", mixed, false),
-    ]
+    ]);
+    mixes
 }
 
 /// Sweep one `(kernel, format)` pair: for each policy × delta mix, run →
@@ -155,6 +198,27 @@ fn matrix_formats(base: &SpTensor) -> Vec<(&'static str, Format, SpTensor)> {
 
 fn matrix_base() -> SpTensor {
     generate::uniform(48, 40, 320, 11)
+}
+
+/// The three blessed order-3 layouts of `base` (built in CSF).
+fn tensor3_formats(base: &SpTensor) -> Vec<(&'static str, Format, SpTensor)> {
+    let dcsf3 = Format::new(
+        vec![LevelFormat::Compressed; 3],
+        Distribution::new("xyz", "x").unwrap(),
+    );
+    vec![
+        ("csf3", Format::blocked_csf3(), base.clone()),
+        (
+            "dcsf3",
+            dcsf3,
+            convert::with_formats(base, &[LevelFormat::Compressed; 3]),
+        ),
+        ("coo3", Format::blocked_coo3(), convert::to_coo_format(base)),
+    ]
+}
+
+fn tensor3_base() -> SpTensor {
+    generate::tensor3_uniform([20, 18, 16], 600, 31)
 }
 
 #[test]
@@ -245,24 +309,8 @@ fn sddmm_incremental_identity_all_formats() {
 
 #[test]
 fn spmttkrp_incremental_identity_all_formats() {
-    let base = generate::tensor3_uniform([20, 18, 16], 600, 31);
-    let dcsf3 = Format::new(
-        vec![LevelFormat::Compressed; 3],
-        Distribution::new("xyz", "x").unwrap(),
-    );
-    let formats: Vec<(&'static str, Format, SpTensor)> = vec![
-        ("csf3", Format::blocked_csf3(), base.clone()),
-        (
-            "dcsf3",
-            dcsf3,
-            convert::with_formats(&base, &[LevelFormat::Compressed; 3]),
-        ),
-        (
-            "coo3",
-            Format::blocked_coo3(),
-            convert::to_coo_format(&base),
-        ),
-    ];
+    let base = tensor3_base();
+    let formats = tensor3_formats(&base);
     let (jd, kd) = (base.dims()[1], base.dims()[2]);
     let rows = base.dims()[0];
     let c = generate::dense_buffer(jd, WIDTH, 41);
@@ -295,6 +343,122 @@ fn spmttkrp_incremental_identity_all_formats() {
         };
         check_pair(&format!("SpMttkrp/{fname}"), &build, &t, &[]);
     }
+}
+
+/// The rebuild oracle: flatten `t` with `to_coo`, apply `deltas` in
+/// order, rebuild in `t`'s formats with `CooTensor::build`, and report
+/// what `update_batch` must report for a tensor with no earlier dirty rows.
+fn rebuild_oracle(t: &SpTensor, deltas: &[CoordDelta]) -> (SpTensor, UpdateReport) {
+    let mut entries: BTreeMap<Vec<i64>, f64> = t.to_coo().into_iter().collect();
+    let mut rep = UpdateReport::default();
+    let mut rows = BTreeSet::new();
+    for d in deltas {
+        if d.op == DeltaOp::Delete {
+            if entries.remove(&d.coord).is_some() {
+                rep.deleted += 1;
+                rows.insert(d.coord[0]);
+            } else {
+                rep.ignored += 1;
+            }
+        } else {
+            if entries.insert(d.coord.clone(), d.val).is_some() {
+                rep.overwritten += 1;
+            } else {
+                rep.inserted += 1;
+            }
+            rows.insert(d.coord[0]);
+        }
+    }
+    rep.structural = rep.inserted + rep.deleted > 0;
+    rep.rows_dirty = rows.len();
+    let mut coo = CooTensor::new(t.dims().to_vec());
+    for (c, v) in &entries {
+        coo.push(c, *v);
+    }
+    (coo.build(&t.formats()), rep)
+}
+
+/// Every blessed matrix and order-3 layout, plus dense ones (whose zero
+/// entries are absent coordinates).
+fn blessed_layouts() -> Vec<(&'static str, Format, SpTensor)> {
+    let (m, t3) = (matrix_base(), tensor3_base());
+    let dense = |t: &SpTensor| convert::with_formats(t, &vec![LevelFormat::Dense; t.order()]);
+    let mut out = matrix_formats(&m);
+    out.extend(tensor3_formats(&t3));
+    out.push(("dense", Format::blocked_dense_matrix(), dense(&m)));
+    out.push((
+        "dense3",
+        Format::new(
+            vec![LevelFormat::Dense; 3],
+            Distribution::new("xyz", "x").unwrap(),
+        ),
+        dense(&t3),
+    ));
+    out
+}
+
+/// A value-only batch written in place equals the rebuild oracle bit for
+/// bit — levels, values and report — moves the version by exactly one,
+/// and keeps every region of the registration.
+#[test]
+fn update_batch_in_place_matches_rebuild_oracle() {
+    for (fname, fmt, t) in blessed_layouts() {
+        for (batch, deltas) in value_only_batches(&t) {
+            let tag = format!("{fname} [{batch}]");
+            let mut ctx = Context::new(machine());
+            ctx.add_tensor("B", t.clone(), fmt.clone()).unwrap();
+            let regions = ctx.tensor("B").unwrap().regions.clone();
+            let version = ctx.tensor_version("B");
+            let rep = ctx.update_batch("B", &deltas).unwrap();
+            let (expect, expect_rep) = rebuild_oracle(&t, &deltas);
+            assert_eq!(rep, expect_rep, "{tag}: report");
+            assert!(!rep.structural, "{tag}: value-only");
+            let got = &ctx.tensor("B").unwrap().data;
+            assert_eq!(got.levels(), expect.levels(), "{tag}: levels");
+            let bits = |t: &SpTensor| t.vals().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(&expect), "{tag}: vals");
+            assert_eq!(ctx.tensor_version("B"), version + 1, "{tag}: version");
+            assert_eq!(ctx.tensor("B").unwrap().regions, regions, "{tag}: regions");
+        }
+    }
+}
+
+/// An in-place write leaves the modeled data placement where a fresh
+/// registration (the rebuild path) puts it. Under a non-zero schedule
+/// over a row-blocked tensor, runs copy data off its owners; a second run
+/// reuses those copies, but after a value-only batch they are stale, so
+/// the next run models the first run's time and traffic again.
+#[test]
+fn in_place_batch_models_like_a_fresh_registration() {
+    let b = matrix_base();
+    let n = b.dims()[0];
+    let c = generate::dense_vec(b.dims()[1], 7);
+    let mut p = Program::on(machine())
+        .tensor("a", Format::blocked_dense_vec(), dense_vector(vec![0.0; n]))
+        .tensor("B", Format::blocked_csr(), b.clone())
+        .tensor("c", Format::replicated_dense_vec(), dense_vector(c))
+        .stmt("a(i) = B(i,j) * c(j)")
+        .schedule(ScheduleSpec::nonzero())
+        .build()
+        .unwrap();
+    let model = |p: &mut CompiledProgram| {
+        p.run().unwrap();
+        let r = p.result(0).unwrap();
+        (r.time, r.comm_bytes)
+    };
+    let first = model(&mut p);
+    let warm = model(&mut p);
+    assert!(warm.1 < first.1, "the schedule must copy off the owners");
+    let regions = p.context().tensor("B").unwrap().regions.clone();
+    p.update_batch("B", &overwrite_deltas(&b, 3)).unwrap();
+    assert_eq!(p.context().tensor("B").unwrap().regions, regions);
+    let after = model(&mut p);
+    assert_eq!(after.1, first.1, "comm bytes");
+    // Times are differences of absolute model clocks: equal up to rounding.
+    assert!(
+        (after.0 - first.0).abs() <= first.0 * 1e-12,
+        "{after:?} vs {first:?}"
+    );
 }
 
 /// Strategy: a small CSR matrix plus an arbitrary delta batch over its

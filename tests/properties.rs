@@ -1,6 +1,8 @@
 //! Property-based tests (proptest) over the core invariants:
 //!
 //! * format round-trips preserve sparse tensors exactly;
+//! * `SpTensor::locate` finds exactly the stored coordinates, at the
+//!   positions `for_each` visits them, in every blessed layout;
 //! * the Table I partition derivations cover every stored entry exactly
 //!   once at the leaf level for disjoint initial partitions;
 //! * image/preimage adjointness on tensor pos/crd pairs;
@@ -39,8 +41,69 @@ fn arb_matrix() -> impl Strategy<Value = SpTensor> {
     })
 }
 
+/// Strategy: an arbitrary small 3-tensor in CSF (values never zero).
+fn arb_tensor3() -> impl Strategy<Value = SpTensor> {
+    (1usize..8, 1usize..8, 1usize..8, 0usize..80).prop_flat_map(|(a, b, c, n)| {
+        proptest::collection::vec((0..a as i64, 0..b as i64, 0..c as i64, 0.5f64..2.0), n).prop_map(
+            move |entries| {
+                let mut coo = CooTensor::new(vec![a, b, c]);
+                for (i, j, k, v) in entries {
+                    coo.push(&[i, j, k], v);
+                }
+                coo.build(&[
+                    LevelFormat::Dense,
+                    LevelFormat::Compressed,
+                    LevelFormat::Compressed,
+                ])
+            },
+        )
+    })
+}
+
+/// `locate` over every coordinate of `t`'s blessed `layouts`: a stored
+/// coordinate maps to the position `for_each` visits it at, any other
+/// coordinate to `None`.
+fn check_locate(t: &SpTensor, layouts: &[Vec<LevelFormat>]) -> Result<(), proptest::TestCaseError> {
+    for formats in layouts {
+        let t = convert::with_formats(t, formats);
+        prop_assert!(t.is_canonical(), "{:?}", formats);
+        let mut stored = std::collections::BTreeMap::new();
+        t.for_each(|c, _| {
+            let q = stored.len();
+            stored.insert(c.to_vec(), q);
+        });
+        let mut coord = vec![0i64; t.order()];
+        'grid: loop {
+            prop_assert_eq!(t.locate(&coord), stored.get(&coord).copied());
+            let mut d = t.order();
+            loop {
+                if d == 0 {
+                    break 'grid;
+                }
+                d -= 1;
+                coord[d] += 1;
+                if (coord[d] as usize) < t.dims()[d] {
+                    break;
+                }
+                coord[d] = 0;
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn locate_agrees_with_for_each(m in arb_matrix(), t3 in arb_tensor3()) {
+        use LevelFormat::{Compressed as C, Dense as D, Singleton as S};
+        check_locate(&m, &[vec![D, C], vec![C, C], vec![C, S], vec![D, D]])?;
+        check_locate(
+            &t3,
+            &[vec![D, C, C], vec![C, C, C], vec![C, S, S], vec![D, D, D]],
+        )?;
+    }
 
     #[test]
     fn format_roundtrips_preserve_tensor(m in arb_matrix()) {
